@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build bin test race vet fmt verify bench serve chaos cover fuzz cluster sample trace
+.PHONY: build bin test race vet fmt verify bench serve chaos cover fuzz cluster sample trace hbbench
 
 build:
 	$(GO) build ./...
@@ -115,3 +115,13 @@ bench:
 	base=$$(git ls-files 'BENCH_*.json' | xargs -r ls -t 2>/dev/null | head -1); \
 	$(GO) run ./cmd/benchjson -commit $$sha $${base:+-baseline $$base} < bench.out > BENCH_$$sha.json; \
 	echo "wrote BENCH_$$sha.json"
+
+# The repository benchmark (cmd/hbbench, its own Go module): one run of
+# workload W — figures-quick, sweep-b16, serve-mixed or cluster-sweep —
+# at the BENCHMARK.json length. SEED and TRACE=1 (the per-layer traced
+# run) pass through. Build output stays under .bench_build/.
+W ?= figures-quick
+SEED ?= 1
+TRACE ?= 0
+hbbench:
+	bash cmd/hbbench/bench.sh --workload $(W) --seed $(SEED) --seconds 15 --trace $(TRACE)

@@ -171,3 +171,41 @@ func TestBatchStepAllocFree(t *testing.T) {
 		t.Fatalf("Active() = %d, want %d", b.Active(), len(cfgs))
 	}
 }
+
+// TestPrewarmReplayAllocFree pins the prewarm cache's hit path: a run
+// that replays a cached prefix allocates about the same whether the
+// prefix holds twenty thousand instructions or ten times as many (tens
+// of thousands more references and outcomes), so the replay loop
+// itself allocates nothing per entry. Whole runs vary by a couple of
+// allocations with their content, cold runs included, hence the small
+// slack rather than exact equality.
+func TestPrewarmReplayAllocFree(t *testing.T) {
+	cache := sim.NewPrewarmCache()
+	opts := sim.RunOpts{Prewarm: cache}
+	hitAllocs := func(prewarm uint64) float64 {
+		cfg := sim.Config{
+			Benchmark:    "gcc",
+			Seed:         1,
+			CPU:          cpu.DefaultConfig(),
+			Memory:       mem.DefaultSRAMSystem(32<<10, 1, mem.PortConfig{Kind: mem.DuplicatePorts}, true),
+			PrewarmInsts: prewarm,
+			WarmupInsts:  500,
+			MeasureInsts: 500,
+		}
+		if _, err := sim.RunContext(context.Background(), cfg, opts); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(3, func() {
+			if _, err := sim.RunContext(context.Background(), cfg, opts); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	short, long := hitAllocs(20_000), hitAllocs(200_000)
+	if hits, _ := cache.Stats(); hits < 8 {
+		t.Fatalf("%d prewarm hits, want every measured run to replay", hits)
+	}
+	if long > short+4 {
+		t.Errorf("replaying run: %.1f allocs at 200k prewarm vs %.1f at 20k, want no growth with prefix length", long, short)
+	}
+}

@@ -20,6 +20,7 @@ import (
 
 	"hbcache/internal/cpu"
 	"hbcache/internal/experiments"
+	"hbcache/internal/fo4"
 	"hbcache/internal/isa"
 	"hbcache/internal/mem"
 	"hbcache/internal/runner"
@@ -284,9 +285,12 @@ func BenchmarkBatchSweep(b *testing.B) {
 	}
 }
 
-func BenchmarkMissRatePoint(b *testing.B) {
+// BenchmarkMissRates times one Figure 3 curve: the nine power-of-two
+// sizes from 4 KB to 1 MB measured in a single generator pass.
+func BenchmarkMissRates(b *testing.B) {
+	sizes := fo4.PowerOfTwoSizes()
 	for i := 0; i < b.N; i++ {
-		if _, err := sim.MissRatePoint("tomcatv", 1, 64<<10, 50_000); err != nil {
+		if _, err := sim.MissRates("tomcatv", 1, sizes, 50_000); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -41,11 +41,11 @@ func curves() {
 	fmt.Println()
 	for _, b := range workload.BenchmarkNames() {
 		fmt.Printf("%-9s", b)
-		for _, s := range sizes {
-			m, err := sim.MissRatePoint(b, 1, s, *insts)
-			if err != nil {
-				panic(err)
-			}
+		rates, err := sim.MissRates(b, 1, sizes, *insts)
+		if err != nil {
+			panic(err)
+		}
+		for _, m := range rates {
 			fmt.Printf("%7.2f%%", 100*m)
 		}
 		fmt.Println()

@@ -62,13 +62,33 @@ func binary(t *testing.T) string {
 type proc struct {
 	cmd    *exec.Cmd
 	base   string // http://host:port once the listen line appears
-	stderr *bytes.Buffer
+	stderr *lockedBuffer
+}
+
+// lockedBuffer collects a child's stderr. exec's copy goroutine writes
+// it while the child runs, and tests read it before the child exits, so
+// both sides take the lock.
+type lockedBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (l *lockedBuffer) Write(p []byte) (int, error) {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.Write(p)
+}
+
+func (l *lockedBuffer) String() string {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.b.String()
 }
 
 // startProc launches the binary and waits for its listen line.
 func startProc(t *testing.T, bin string, args ...string) *proc {
 	t.Helper()
-	p := &proc{stderr: &bytes.Buffer{}}
+	p := &proc{stderr: &lockedBuffer{}}
 	p.cmd = exec.Command(bin, args...)
 	p.cmd.Stderr = p.stderr
 	stdout, err := p.cmd.StdoutPipe()

@@ -95,22 +95,15 @@ func Figure3(o Options) (*stats.Table, error) {
 	return t, nil
 }
 
-// missRateGrid computes MissRatePoint for every benchmark × size in
-// parallel, returning rates indexed [benchmark][size].
+// missRateGrid computes the miss-rate curve of every benchmark in
+// parallel, one sim.MissRates pass per benchmark, returning rates
+// indexed [benchmark][size].
 func missRateGrid(o Options, benches []string, sizes []int) ([][]float64, error) {
 	rates := make([][]float64, len(benches))
-	for bi := range rates {
-		rates[bi] = make([]float64, len(sizes))
-	}
-	n := len(benches) * len(sizes)
-	err := runner.Parallel(o.ctx(), o.runner().Workers(), n, func(i int) error {
-		bi, si := i/len(sizes), i%len(sizes)
-		m, err := sim.MissRatePoint(benches[bi], o.seed(), sizes[si], o.MeasureInsts)
-		if err != nil {
-			return err
-		}
-		rates[bi][si] = m
-		return nil
+	err := runner.Parallel(o.ctx(), o.runner().Workers(), len(benches), func(bi int) error {
+		r, err := sim.MissRates(benches[bi], o.seed(), sizes, o.MeasureInsts)
+		rates[bi] = r
+		return err
 	})
 	if err != nil {
 		return nil, err

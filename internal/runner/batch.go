@@ -70,11 +70,24 @@ func (r *Runner) runBatched(ctx context.Context, cfgs []sim.Config) ([]JobResult
 		}
 	}
 
-	// Slice owned jobs into batches and fan the batches across the
-	// pool. Submission order is preserved within and across batches, so
-	// a sweep's natural benchmark grouping keeps lanes shareable.
+	// Group owned jobs by stream, so lanes that can share one stream
+	// land in one batch, then slice them into batches and fan the
+	// batches across the pool. Submission order is kept within a group
+	// and groups keep their order of first appearance, so a sweep that
+	// is already grouped (benchmark-major) batches exactly as
+	// submitted.
+	ownedCfgs := make([]sim.Config, len(owned))
+	for i, job := range owned {
+		ownedCfgs[i] = job.cfg
+	}
+	grouped := make([]*batchJob, 0, len(owned))
+	for _, g := range sim.StreamGroups(ownedCfgs) {
+		for _, i := range g {
+			grouped = append(grouped, owned[i])
+		}
+	}
 	var batches [][]*batchJob
-	for rest := owned; len(rest) > 0; {
+	for rest := grouped; len(rest) > 0; {
 		n := r.batch
 		if n > len(rest) {
 			n = len(rest)
@@ -233,7 +246,7 @@ func (r *Runner) retrySingle(ctx context.Context, cfg sim.Config, jr *JobResult,
 		}
 		jr.Attempts++
 		var res sim.Result
-		if res, err = r.simulate(ctx, cfg); err == nil {
+		if res, err = r.simulate(ctx, cfg, false); err == nil {
 			return res, nil
 		}
 	}

@@ -11,7 +11,9 @@
 // submitted twice, even by different experiments sharing one Runner,
 // simulate once — and an optional on-disk JSON store, so re-running
 // figures or resuming an interrupted sweep skips already-simulated
-// points.
+// points. Run dispatches each call's jobs grouped by the stream they
+// read, and jobs of a group of two or more share one functional
+// prewarm drain through the runner's sim.PrewarmCache.
 //
 // Jobs are individually robust: a panicking simulation surfaces as that
 // job's error rather than crashing the process, failed jobs retry a
@@ -143,6 +145,13 @@ type Metrics struct {
 	// CorruptEntries is how many on-disk cache entries failed their
 	// integrity check and were quarantined (renamed *.corrupt).
 	CorruptEntries int `json:"corrupt_entries"`
+
+	// PrewarmHits and PrewarmMisses count simulations that replayed a
+	// shared prewarm prefix and that drained one from the generator
+	// (sim.PrewarmCache); jobs outside a multi-job stream group touch
+	// neither.
+	PrewarmHits   int `json:"prewarm_hits"`
+	PrewarmMisses int `json:"prewarm_misses"`
 }
 
 // Rate is completed jobs per second of runner lifetime (cache and memo
@@ -178,6 +187,10 @@ type Runner struct {
 	// runOpts the options handed to sim.RunBatch on the batched path.
 	batch   int
 	runOpts sim.RunOpts
+	// prewarm is shared by Run's jobs whose stream group has two or
+	// more members; nil when Sim or SnapshotDir replaces the default
+	// simulator.
+	prewarm *sim.PrewarmCache
 
 	// sim runs one simulation; tests substitute instrumented stubs.
 	sim func(ctx context.Context, cfg sim.Config) (sim.Result, error)
@@ -238,7 +251,12 @@ func New(opts Options) (*Runner, error) {
 	case backoff < 0:
 		backoff = 0
 	}
+	var prewarm *sim.PrewarmCache
+	if opts.Sim == nil && opts.SnapshotDir == "" {
+		prewarm = sim.NewPrewarmCache()
+	}
 	r := &Runner{
+		prewarm:    prewarm,
 		workers:    workers,
 		retries:    opts.Retries,
 		backoff:    backoff,
@@ -309,6 +327,8 @@ func (r *Runner) snapshotLocked() Metrics {
 	if r.store != nil {
 		m.CorruptEntries = int(r.store.CorruptEntries())
 	}
+	hits, misses := r.prewarm.Stats()
+	m.PrewarmHits, m.PrewarmMisses = int(hits), int(misses)
 	return m
 }
 
@@ -317,6 +337,10 @@ func (r *Runner) snapshotLocked() Metrics {
 // order. Per-job failures are reported in the corresponding
 // JobResult.Err; the returned error is non-nil only when ctx was
 // cancelled, in which case undispatched jobs carry ctx's error.
+//
+// Jobs are dispatched grouped by stream (sim.StreamGroups), groups in
+// order of first appearance, so the members of a group run back to
+// back and share their prewarm prefix.
 func (r *Runner) Run(ctx context.Context, cfgs []sim.Config) ([]JobResult, error) {
 	if r.batch > 1 {
 		return r.runBatched(ctx, cfgs)
@@ -325,6 +349,15 @@ func (r *Runner) Run(ctx context.Context, cfgs []sim.Config) ([]JobResult, error
 	r.mu.Lock()
 	r.metrics.Submitted += len(cfgs)
 	r.mu.Unlock()
+
+	order := make([]int, 0, len(cfgs))
+	shared := make([]bool, len(cfgs))
+	for _, g := range sim.StreamGroups(cfgs) {
+		order = append(order, g...)
+		for _, i := range g {
+			shared[i] = len(g) > 1
+		}
+	}
 
 	workers := r.workers
 	if workers > len(cfgs) {
@@ -337,12 +370,12 @@ func (r *Runner) Run(ctx context.Context, cfgs []sim.Config) ([]JobResult, error
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				results[i] = r.do(ctx, cfgs[i])
+				results[i] = r.do(ctx, cfgs[i], shared[i])
 			}
 		}()
 	}
 dispatch:
-	for i := range cfgs {
+	for _, i := range order {
 		select {
 		case idx <- i:
 		case <-ctx.Done():
@@ -380,13 +413,14 @@ func (r *Runner) RunJob(ctx context.Context, cfg sim.Config) JobResult {
 	r.mu.Lock()
 	r.metrics.Submitted++
 	r.mu.Unlock()
-	return r.do(ctx, cfg)
+	return r.do(ctx, cfg, false)
 }
 
 // do produces the result for one job: memo, then disk cache, then a
 // simulation with panic recovery and bounded retry. It records metrics
-// and fires the progress callback exactly once per job.
-func (r *Runner) do(ctx context.Context, cfg sim.Config) JobResult {
+// and fires the progress callback exactly once per job. shared routes
+// the simulation through the runner's prewarm cache.
+func (r *Runner) do(ctx context.Context, cfg sim.Config, shared bool) JobResult {
 	jr := JobResult{Config: cfg}
 	started := time.Now()
 	var (
@@ -456,7 +490,7 @@ func (r *Runner) do(ctx context.Context, cfg sim.Config) JobResult {
 			return settle()
 		}
 		jr.Attempts = attempt + 1
-		res, err = r.simulate(ctx, cfg)
+		res, err = r.simulate(ctx, cfg, shared)
 		if err == nil || attempt >= r.retries || !Retryable(err) {
 			break
 		}
@@ -509,13 +543,19 @@ func (r *Runner) sleepBackoff(ctx context.Context, attempt int) bool {
 }
 
 // simulate runs one simulation, converting a panic into an error so a
-// bad design point cannot take down a thousand-point sweep.
-func (r *Runner) simulate(ctx context.Context, cfg sim.Config) (res sim.Result, err error) {
+// bad design point cannot take down a thousand-point sweep. shared
+// runs it with the runner's prewarm cache, when there is one.
+func (r *Runner) simulate(ctx context.Context, cfg sim.Config, shared bool) (res sim.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			err = fmt.Errorf("simulation panicked: %v\n%s", p, debug.Stack())
 		}
 	}()
+	if shared && r.prewarm != nil {
+		opts := r.runOpts
+		opts.Prewarm = r.prewarm
+		return sim.RunContext(ctx, cfg, opts)
+	}
 	return r.sim(ctx, cfg)
 }
 

@@ -51,6 +51,7 @@ func newTest(t *testing.T, opts Options) *Runner {
 		t.Fatal(err)
 	}
 	r.sim = stubSim
+	r.prewarm = nil // a substituted simulator bypasses the prewarm cache, as with Options.Sim
 	return r
 }
 

@@ -3,7 +3,9 @@ package service
 import (
 	"net/http"
 
+	"hbcache/internal/snapshot"
 	"hbcache/internal/stats"
+	"hbcache/internal/workload"
 )
 
 // handleMetrics renders the operational metrics catalogue in Prometheus
@@ -41,6 +43,10 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Counter("hbserved_runner_errors_total", "Runner jobs whose final attempt failed.", float64(rm.Errors))
 	p.Counter("hbserved_runner_retries_total", "Extra attempts consumed by failing runner jobs.", float64(rm.Retries))
 	p.Counter("hbserved_cache_corrupt_entries_total", "On-disk cache entries that failed their integrity check and were quarantined.", float64(rm.CorruptEntries))
+	p.Counter("hbserved_snapshot_quarantined_total", "Checkpoint files that failed verification and were quarantined to *.corrupt (process-wide).", float64(snapshot.Quarantined()))
+	p.Counter("hbserved_traces_quarantined_total", "Trace files that failed verification and were quarantined to *.corrupt (process-wide).", float64(workload.TracesQuarantined()))
+	p.Counter("hbserved_runner_prewarm_hits_total", "Simulations that replayed a shared prewarm prefix instead of generating it.", float64(rm.PrewarmHits))
+	p.Counter("hbserved_runner_prewarm_misses_total", "Simulations in a shared stream group that generated their prewarm prefix.", float64(rm.PrewarmMisses))
 	p.Counter("hbserved_runner_sim_seconds_total", "Cumulative wall time inside the simulator.", rm.SimWall.Seconds())
 	p.Gauge("hbserved_cache_hit_ratio", "Fraction of completed runner jobs served without simulating (disk cache + memo).",
 		stats.Ratio(uint64(rm.CacheHits+rm.MemoHits), uint64(rm.Done)))

@@ -58,6 +58,40 @@ type streamKey struct {
 	mode      PrewarmMode
 }
 
+// streamKeyOf is the stream key of a resolved config.
+func streamKeyOf(rcfg Config) streamKey {
+	var traceKey string
+	if rcfg.Trace != nil {
+		// Digest is the content address; a path-only ref falls back
+		// to the path so unresolved lanes still group consistently.
+		if traceKey = rcfg.Trace.Digest; traceKey == "" {
+			traceKey = "path:" + rcfg.Trace.Path
+		}
+	}
+	return streamKey{rcfg.Benchmark, rcfg.Seed, traceKey, rcfg.PrewarmInsts, rcfg.WarmupInsts, rcfg.MeasureInsts, rcfg.PrewarmMode}
+}
+
+// StreamGroups partitions cfgs by the stream they read — the key the
+// batch kernel shares streams on — returning each group's indices in
+// submission order, groups in order of first appearance. Schedulers
+// use it to run same-stream configs together: as the lanes of one
+// batch, or back to back so they share a PrewarmCache entry.
+func StreamGroups(cfgs []Config) [][]int {
+	var groups [][]int
+	byKey := make(map[streamKey]int, len(cfgs))
+	for i, cfg := range cfgs {
+		key := streamKeyOf(cfg.WithDefaults())
+		g, ok := byKey[key]
+		if !ok {
+			g = len(groups)
+			byKey[key] = g
+			groups = append(groups, nil)
+		}
+		groups[g] = append(groups[g], i)
+	}
+	return groups
+}
+
 // bstream is one shared instruction stream: a master source and a
 // ring of its records, read by each lane through its own cursor.
 // Records below every live cursor are discarded at fill time.
@@ -245,15 +279,7 @@ func NewBatch(ctx context.Context, cfgs []Config, opts RunOpts) (*Batch, error) 
 			ln.fail(fmt.Errorf("%w: sampled configs run per-lane; use RunContext (the runner routes them automatically)", ErrInvalidConfig))
 			continue
 		}
-		var traceKey string
-		if rcfg.Trace != nil {
-			// Digest is the content address; a path-only ref falls back
-			// to the path so unresolved lanes still group consistently.
-			if traceKey = rcfg.Trace.Digest; traceKey == "" {
-				traceKey = "path:" + rcfg.Trace.Path
-			}
-		}
-		key := streamKey{rcfg.Benchmark, rcfg.Seed, traceKey, rcfg.PrewarmInsts, rcfg.WarmupInsts, rcfg.MeasureInsts, rcfg.PrewarmMode}
+		key := streamKeyOf(rcfg)
 		st, ok := byKey[key]
 		if !ok {
 			gen, err := rcfg.newSource()

@@ -74,10 +74,11 @@ func TestExecutionTimeNsEdgeCases(t *testing.T) {
 }
 
 func TestMissRatePointRejectsBadGeometry(t *testing.T) {
-	// NewArray inside MissRatePoint must refuse impossible caches.
+	// NewArray inside MissRates must refuse impossible caches, even
+	// beside valid ones.
 	for _, bytes := range []int{0, -4096, 1000} { // 1000: not divisible into 32-byte 2-way sets
-		if _, err := MissRatePoint("gcc", 1, bytes, 1000); err == nil {
-			t.Errorf("MissRatePoint accepted %d-byte cache", bytes)
+		if _, err := MissRates("gcc", 1, []int{4 << 10, bytes}, 1000); err == nil {
+			t.Errorf("MissRates accepted %d-byte cache", bytes)
 		}
 	}
 }

@@ -44,14 +44,14 @@ func TestMissRateMonotonicInCacheSize(t *testing.T) {
 	for _, bench := range metamorphicBenches(t) {
 		t.Run(bench, func(t *testing.T) {
 			t.Parallel()
+			rates, err := MissRates(bench, 1, sizes, 120_000)
+			if err != nil {
+				t.Fatal(err)
+			}
 			prev := 1.0
-			for _, size := range sizes {
-				rate, err := MissRatePoint(bench, 1, size, 120_000)
-				if err != nil {
-					t.Fatal(err)
-				}
+			for i, rate := range rates {
 				if rate > prev+missRateEps {
-					t.Errorf("%dK misses/inst %.5f exceeds smaller cache's %.5f", size>>10, rate, prev)
+					t.Errorf("%dK misses/inst %.5f exceeds smaller cache's %.5f", sizes[i]>>10, rate, prev)
 				}
 				prev = rate
 			}

@@ -1,0 +1,352 @@
+package sim
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"hbcache/internal/cpu"
+	"hbcache/internal/fo4"
+	"hbcache/internal/mem"
+	"hbcache/internal/workload"
+)
+
+// TestMissRatesMatchesPerSizeLoop pins the one-pass miss-rate curve to
+// the per-size measurement it replaces: for every workload, each rate
+// of a nine-size MissRates call equals a single-size call and a
+// reference loop over Generator.Next probing one array per size. Under
+// -short or the race detector it covers the representatives only.
+func TestMissRatesMatchesPerSizeLoop(t *testing.T) {
+	const insts = 20_000
+	sizes := fo4.PowerOfTwoSizes()
+	for _, bench := range metamorphicBenches(t) {
+		t.Run(bench, func(t *testing.T) {
+			t.Parallel()
+			got, err := MissRates(bench, 3, sizes, insts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := referenceMissRates(t, bench, 3, sizes, insts)
+			for i, size := range sizes {
+				one, err := MissRates(bench, 3, []int{size}, insts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[i] != one[0] || got[i] != want[i] {
+					t.Errorf("%s: curve %v, single-size %v, reference %v", fo4.SizeLabel(size), got[i], one[0], want[i])
+				}
+			}
+		})
+	}
+}
+
+// referenceMissRates is the instruction-at-a-time form of MissRates:
+// 2M warm instructions (or insts, if larger), counters reset, then
+// insts measured instructions.
+func referenceMissRates(t *testing.T, bench string, seed uint64, sizes []int, insts uint64) []float64 {
+	t.Helper()
+	gen := workload.MustNew(bench, seed)
+	arrays := make([]*mem.Array, len(sizes))
+	for i, s := range sizes {
+		arrays[i] = mem.MustNewArray(s, 32, 2)
+	}
+	warm := max(insts, 2_000_000)
+	misses := make([]uint64, len(sizes))
+	for i := uint64(0); i < insts+warm; i++ {
+		inst, _ := gen.Next()
+		if i == warm {
+			clear(misses)
+		}
+		if !inst.Op.IsMem() {
+			continue
+		}
+		for k, a := range arrays {
+			if !a.Lookup(inst.Addr) {
+				a.Fill(inst.Addr)
+				misses[k]++
+			}
+		}
+	}
+	rates := make([]float64, len(sizes))
+	for k, n := range misses {
+		rates[k] = float64(n) / float64(insts)
+	}
+	return rates
+}
+
+func prewarmCacheConfig(bench string, size int, ports mem.PortConfig, lb bool, mode PrewarmMode) Config {
+	return Config{
+		Benchmark:    bench,
+		Seed:         5,
+		CPU:          cpu.DefaultConfig(),
+		Memory:       mem.DefaultSRAMSystem(size, 1, ports, lb),
+		PrewarmInsts: 30_000,
+		WarmupInsts:  2_000,
+		MeasureInsts: 6_000,
+		PrewarmMode:  mode,
+	}
+}
+
+// TestPrewarmCacheHitBitIdentical pins the prefix cache's contract on
+// every workload: the filling run and every replaying run produce the
+// Result of a cold run — stream hash included, invariant checker on —
+// whichever prewarm mode filled the prefix and whichever replays it,
+// sampled runs included. Under -short or the race detector it covers
+// the representatives only.
+func TestPrewarmCacheHitBitIdentical(t *testing.T) {
+	opts := RunOpts{Check: true, Hash: true}
+	for _, bench := range metamorphicBenches(t) {
+		t.Run(bench, func(t *testing.T) {
+			t.Parallel()
+			cache := NewPrewarmCache()
+			shared := opts
+			shared.Prewarm = cache
+			// The stream-mode run fills the prefix without training the
+			// predictor; the fast-forward replays must still train it.
+			runs := []Config{
+				prewarmCacheConfig(bench, 16<<10, mem.PortConfig{Kind: mem.DuplicatePorts}, true, PrewarmStream),
+				prewarmCacheConfig(bench, 64<<10, mem.PortConfig{Kind: mem.BankedPorts, Count: 8}, false, PrewarmFastForward),
+				prewarmCacheConfig(bench, 16<<10, mem.PortConfig{Kind: mem.DuplicatePorts}, true, PrewarmFastForward),
+				prewarmCacheConfig(bench, 64<<10, mem.PortConfig{Kind: mem.BankedPorts, Count: 8}, false, PrewarmStream),
+				prewarmCacheConfig(bench, 32<<10, mem.PortConfig{Kind: mem.IdealPorts, Count: 2}, false, PrewarmFastForward),
+			}
+			runs[4].Sample = &SampleSpec{IntervalInsts: 3_000, WindowInsts: 500, WarmupInsts: 500}
+			for i, cfg := range runs {
+				cold, err := RunContext(context.Background(), cfg, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := RunContext(context.Background(), cfg, shared)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(got, cold) {
+					t.Errorf("run %d (%s): cached-prefix result differs from cold run\ncached: %+v\ncold:   %+v", i, cfg.PrewarmMode, got, cold)
+				}
+				if cold.StreamHash == 0 {
+					t.Fatal("stream hash not recorded")
+				}
+			}
+			if hits, misses := cache.Stats(); hits != 4 || misses != 1 {
+				t.Errorf("stats = %d hits, %d misses; want 4, 1", hits, misses)
+			}
+		})
+	}
+}
+
+// TestPrewarmCacheConcurrent runs one stream's configs on several
+// goroutines through one cache at once: the runs that find the prefix
+// in flight wait for it, and every result equals its cold run.
+func TestPrewarmCacheConcurrent(t *testing.T) {
+	cache := NewPrewarmCache()
+	var cfgs []Config
+	for _, size := range []int{8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10} {
+		cfgs = append(cfgs, prewarmCacheConfig("pmake", size, mem.PortConfig{Kind: mem.BankedPorts, Count: 8}, true, PrewarmFastForward))
+	}
+	got := make([]Result, len(cfgs))
+	errs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = RunContext(context.Background(), cfg, RunOpts{Hash: true, Prewarm: cache})
+		}()
+	}
+	wg.Wait()
+	for i, cfg := range cfgs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		cold, err := RunContext(context.Background(), cfg, RunOpts{Hash: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got[i], cold) {
+			t.Errorf("config %d: concurrent cached-prefix result differs from cold run", i)
+		}
+	}
+	if hits, misses := cache.Stats(); hits != int64(len(cfgs))-1 || misses != 1 {
+		t.Errorf("stats = %d hits, %d misses; want %d, 1 (waiters share the one fill)", hits, misses, len(cfgs)-1)
+	}
+}
+
+// TestPrewarmCacheBypass pins the runs that must not consult the cache:
+// timing-mode prewarm and resumed runs leave its counters untouched.
+func TestPrewarmCacheBypass(t *testing.T) {
+	cache := NewPrewarmCache()
+	cfg := prewarmCacheConfig("li", 32<<10, mem.PortConfig{Kind: mem.DuplicatePorts}, false, PrewarmTiming)
+	if _, err := RunContext(context.Background(), cfg, RunOpts{Prewarm: cache}); err != nil {
+		t.Fatal(err)
+	}
+	snap := t.TempDir() + "/prewarm.json"
+	cfg.PrewarmMode = PrewarmFastForward
+	if _, err := RunContext(context.Background(), cfg, RunOpts{SnapshotPrewarm: snap}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunContext(context.Background(), cfg, RunOpts{Prewarm: cache, Resume: snap}); err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := cache.Stats(); hits != 0 || misses != 0 {
+		t.Errorf("stats = %d hits, %d misses; want the cache untouched", hits, misses)
+	}
+}
+
+// TestPrewarmCacheCapacity pins the fixed two-entry LRU: a third
+// stream evicts the least recently used prefix, which then refills.
+func TestPrewarmCacheCapacity(t *testing.T) {
+	cache := NewPrewarmCache()
+	opts := RunOpts{Prewarm: cache}
+	run := func(bench string) {
+		t.Helper()
+		cfg := prewarmCacheConfig(bench, 32<<10, mem.PortConfig{Kind: mem.DuplicatePorts}, false, PrewarmFastForward)
+		cfg.PrewarmInsts = 5_000
+		if _, err := RunContext(context.Background(), cfg, opts); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, bench := range []string{"gcc", "li", "gcc", "compress", "li", "compress"} {
+		run(bench)
+	}
+	// gcc miss, li miss, gcc hit, compress miss (evicts li), li miss
+	// (evicts gcc), compress hit.
+	if hits, misses := cache.Stats(); hits != 2 || misses != 4 {
+		t.Errorf("stats = %d hits, %d misses; want 2, 4", hits, misses)
+	}
+}
+
+// TestPrewarmCachePublish pins what a finished fill leaves behind: a
+// failed fill is dropped so the next run refills it, while an
+// oversized one stays unfilled so later runs drain cold without
+// recording again.
+func TestPrewarmCachePublish(t *testing.T) {
+	cache := NewPrewarmCache()
+	key := prefixKey{"gcc", 1, 1000}
+	p, fill := cache.acquire(key)
+	if !fill {
+		t.Fatal("empty cache returned an entry")
+	}
+	cache.publish(p, false)
+	if _, fill := cache.acquire(key); !fill {
+		t.Error("failed fill stayed cached")
+	}
+	p, _ = cache.acquire(prefixKey{"li", 1, 1000})
+	cache.publish(p, true)
+	if q, fill := cache.acquire(p.key); fill || q != p || q.ok {
+		t.Error("kept unfilled entry not returned as-is")
+	}
+
+	var rec prefixRecorder
+	huge := make([]uint64, maxPrefixBytes/9)
+	for i := range huge {
+		huge[i] = uint64(i&1) << 63 // every delta encodes to ten bytes
+	}
+	rec.add(huge, nil)
+	if !rec.full || rec.addrs.chunks != nil {
+		t.Errorf("recorder past maxPrefixBytes: full=%v, %d chunks kept", rec.full, len(rec.addrs.chunks))
+	}
+}
+
+// TestPrewarmCacheReplayAborts pins cancellation on the hit path: a
+// replay stopped at its first poll returns ErrAborted without importing
+// the generator state, and a run waiting on another run's in-flight
+// fill returns ErrAborted as soon as its context ends.
+func TestPrewarmCacheReplayAborts(t *testing.T) {
+	cache := NewPrewarmCache()
+	cfg := prewarmCacheConfig("gcc", 32<<10, mem.PortConfig{Kind: mem.DuplicatePorts}, false, PrewarmFastForward)
+	if _, err := RunContext(context.Background(), cfg, RunOpts{Prewarm: cache}); err != nil {
+		t.Fatal(err)
+	}
+	p := cache.entries[0]
+	if p == nil || !p.ok {
+		t.Fatal("fill left no cached prefix")
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	stop := new(atomic.Bool)
+	m, err := newMachine(ctx, cfg.WithDefaults(), RunOpts{}, stop)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop.Store(true)
+	if err := m.replay(p, true); !errors.Is(err, ErrAborted) {
+		t.Fatalf("stopped replay: err = %v, want ErrAborted", err)
+	}
+	if n := m.gen.Emitted(); n != 0 {
+		t.Errorf("aborted replay imported the generator state (emitted %d)", n)
+	}
+
+	// An in-flight fill that never finishes: the waiter must leave on
+	// its own deadline.
+	pending, fill := cache.acquire(prefixKey{"li", 5, cfg.PrewarmInsts})
+	if !fill {
+		t.Fatal("pending key already cached")
+	}
+	defer cache.publish(pending, false)
+	wctx, wcancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer wcancel()
+	waiter := cfg
+	waiter.Benchmark = "li"
+	start := time.Now()
+	_, err = RunContext(wctx, waiter, RunOpts{Prewarm: cache})
+	if !errors.Is(err, ErrAborted) {
+		t.Fatalf("waiting run: err = %v, want ErrAborted", err)
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("waiting run took %v to notice its deadline", d)
+	}
+}
+
+// TestStreamGroups pins the grouping schedulers dispatch by: one group
+// per distinct stream, members in submission order, groups in order of
+// first appearance — and the identity on an already-grouped list.
+func TestStreamGroups(t *testing.T) {
+	mk := func(bench string, seed uint64, size int) Config {
+		c := prewarmCacheConfig(bench, size, mem.PortConfig{Kind: mem.DuplicatePorts}, false, "")
+		c.Seed = seed
+		return c
+	}
+	cfgs := []Config{mk("gcc", 1, 16<<10), mk("li", 1, 16<<10), mk("gcc", 1, 32<<10), mk("gcc", 2, 16<<10), mk("li", 1, 32<<10)}
+	// An explicit default mode is the same stream as an empty one.
+	cfgs = append(cfgs, cfgs[0])
+	cfgs[5].PrewarmMode = PrewarmFastForward
+	got := StreamGroups(cfgs)
+	want := [][]int{{0, 2, 5}, {1, 4}, {3}}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("StreamGroups = %v, want %v", got, want)
+	}
+	grouped := []Config{cfgs[0], cfgs[2], cfgs[1], cfgs[4], cfgs[3]}
+	if got := StreamGroups(grouped); fmt.Sprint(got) != fmt.Sprint([][]int{{0, 1}, {2, 3}, {4}}) {
+		t.Errorf("grouped input regrouped: %v", got)
+	}
+}
+
+// TestVarintLogRoundTrip pins the prefix encoding across chunk
+// boundaries: values decode in order, exactly, whatever their deltas.
+func TestVarintLogRoundTrip(t *testing.T) {
+	var l varintLog
+	var want []uint64
+	for i := uint64(0); i < 3*logChunk; i++ {
+		v := i * 0x9E3779B97F4A7C15 // deltas of every varint length, both signs
+		l.add(v)
+		want = append(want, v)
+	}
+	if len(l.chunks) < 2 {
+		t.Fatalf("%d chunks; the test must cross a chunk boundary", len(l.chunks))
+	}
+	r := logReader{rest: l.chunks}
+	for i, w := range want {
+		if v, ok := r.next(); !ok || v != w {
+			t.Fatalf("entry %d: got %#x (ok=%v), want %#x", i, v, ok, w)
+		}
+	}
+	if _, ok := r.next(); ok {
+		t.Error("reader ran past the last entry")
+	}
+}

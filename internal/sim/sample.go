@@ -89,18 +89,8 @@ type windowSample struct {
 // (the stream is discontinuous, so a checkpoint could not promise
 // exact resume).
 func (m *machine) runSampled() (Result, error) {
-	if err := m.sweep(); err != nil {
+	if err := m.prewarm(); err != nil {
 		return Result{}, err
-	}
-	if m.cfg.PrewarmMode == PrewarmTiming {
-		m.phase, m.remaining = phasePrewarm, m.cfg.PrewarmInsts
-		if err := m.runTimed(); err != nil {
-			return Result{}, err
-		}
-	} else {
-		if err := m.fastForward(m.cfg.PrewarmInsts, m.cfg.PrewarmMode != PrewarmStream); err != nil {
-			return Result{}, err
-		}
 	}
 	m.phase, m.remaining = phaseWarmup, m.cfg.WarmupInsts
 	if err := m.runTimed(); err != nil {
@@ -141,7 +131,7 @@ func (m *machine) runSampled() (Result, error) {
 			tail = slack - lead
 		}
 		if lead > 0 {
-			if err := m.fastForward(lead, true); err != nil {
+			if err := m.fastForward(lead, true, nil); err != nil {
 				return Result{}, err
 			}
 		}
@@ -180,7 +170,7 @@ func (m *machine) runSampled() (Result, error) {
 			windows = append(windows, w)
 		}
 		if tail > 0 {
-			if err := m.fastForward(tail, true); err != nil {
+			if err := m.fastForward(tail, true, nil); err != nil {
 				return Result{}, err
 			}
 		}

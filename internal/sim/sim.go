@@ -275,6 +275,13 @@ type RunOpts struct {
 	// resumes instead of restarting. Never written on ErrCheckFailed (a
 	// broken machine must not be resumed) or in sampled mode.
 	SnapshotOnAbort string
+
+	// Prewarm, when non-nil, shares the functional prewarm prefix of a
+	// fresh generator-backed run with other runs of the same stream
+	// through the cache (see PrewarmCache). Results are bit-identical
+	// either way; nil drains the prefix cold, the reference path.
+	// RunBatch ignores it: batch lanes already share one drain.
+	Prewarm *PrewarmCache
 }
 
 // Run executes one simulation with no cancellation, budget, or fault
@@ -311,6 +318,9 @@ type machine struct {
 	stream *check.Stream
 	inv    *check.Invariants
 	stop   *atomic.Bool
+	// done closes with the run's context (cancellation or wall
+	// budget); nil on batch lanes, which never wait on it.
+	done <-chan struct{}
 
 	// effMax is the absolute cycle cap on the core's monotonic clock:
 	// opts.MaxCycles for a fresh run, rebased past the snapshot's clock
@@ -482,11 +492,31 @@ func (m *machine) sweep() error {
 	return nil
 }
 
+// prewarm brings a fresh machine to the start of its warmup phase: the
+// region sweep, then the prewarm window, timed or functional. The
+// functional forms go through RunOpts.Prewarm when one is set and the
+// stream is synthetic.
+func (m *machine) prewarm() error {
+	if err := m.sweep(); err != nil {
+		return err
+	}
+	if m.cfg.PrewarmMode == PrewarmTiming {
+		m.phase, m.remaining = phasePrewarm, m.cfg.PrewarmInsts
+		return m.runTimed()
+	}
+	train := m.cfg.PrewarmMode != PrewarmStream
+	if m.opts.Prewarm != nil && m.cfg.Trace == nil {
+		return m.opts.Prewarm.warm(m, train)
+	}
+	return m.fastForward(m.cfg.PrewarmInsts, train, nil)
+}
+
 // fastForward drains insts instructions from the generator functionally
 // — warming the hierarchy with every memory reference and, when train
 // is set, the predictor with every branch outcome — without running the
-// pipeline. Chunked so the generator's batch loop stays call-free.
-func (m *machine) fastForward(insts uint64, train bool) error {
+// pipeline, and hands each chunk's references to rec when it is set.
+// Chunked so the generator's batch loop stays call-free.
+func (m *machine) fastForward(insts uint64, train bool, rec *prefixRecorder) error {
 	pred := m.core.Predictor()
 	var addrs, branches [4096]uint64
 	for left := insts; left > 0; {
@@ -506,6 +536,9 @@ func (m *machine) fastForward(insts uint64, train bool) error {
 			for _, b := range branches[:nb] {
 				pred.Warm(b>>1, b&1 == 1)
 			}
+		}
+		if rec != nil {
+			rec.add(addrs[:na], branches[:nb])
 		}
 	}
 	return nil
@@ -561,18 +594,8 @@ func (m *machine) run(resumed bool) (Result, error) {
 		// and the same, already-advanced generator feeds the core — the
 		// measured window must not re-walk stream prefixes the timing
 		// model never fetched.
-		if err := m.sweep(); err != nil {
+		if err := m.prewarm(); err != nil {
 			return Result{}, err
-		}
-		if m.cfg.PrewarmMode == PrewarmTiming {
-			m.phase, m.remaining = phasePrewarm, m.cfg.PrewarmInsts
-			if err := m.runTimed(); err != nil {
-				return Result{}, err
-			}
-		} else {
-			if err := m.fastForward(m.cfg.PrewarmInsts, m.cfg.PrewarmMode != PrewarmStream); err != nil {
-				return Result{}, err
-			}
 		}
 		m.phase, m.remaining = phaseWarmup, m.cfg.WarmupInsts
 		if m.opts.SnapshotPrewarm != "" {
@@ -648,6 +671,7 @@ func RunContext(ctx context.Context, cfg Config, opts RunOpts) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
+	m.done = rctx.Done()
 
 	resumed := false
 	if opts.Resume != "" {
@@ -705,19 +729,24 @@ func ExecutionTimeNs(r Result, cycleFO4 float64) float64 {
 	return float64(r.Cycles) * fo4.CycleNs(cycleFO4) / float64(r.Instructions)
 }
 
-// MissRatePoint measures misses per instruction for a single-ported
-// baseline cache of the given size without the processor model: the
-// generator's memory references stream directly through a two-way
-// 32-byte-line tag array (Figure 3's configuration). Returns misses per
-// instruction.
-func MissRatePoint(benchmark string, seed uint64, cacheBytes int, insts uint64) (float64, error) {
+// MissRates measures misses per instruction for single-ported baseline
+// caches of each of the given sizes without the processor model: one
+// pass of the generator's memory references streams through a two-way
+// 32-byte-line tag array per size (Figure 3's configuration), so a
+// whole miss-rate curve costs one stream generation, not one per size.
+// The arrays are independent, so each rate equals what a pass with
+// that size alone would measure. Returns misses per instruction,
+// indexed like sizes.
+func MissRates(benchmark string, seed uint64, sizes []int, insts uint64) ([]float64, error) {
 	gen, err := workload.New(benchmark, seed)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
-	array, err := mem.NewArray(cacheBytes, 32, 2)
-	if err != nil {
-		return 0, err
+	arrays := make([]*mem.Array, len(sizes))
+	for i, size := range sizes {
+		if arrays[i], err = mem.NewArray(size, 32, 2); err != nil {
+			return nil, err
+		}
 	}
 	if insts == 0 {
 		insts = DefaultMeasure
@@ -730,24 +759,32 @@ func MissRatePoint(benchmark string, seed uint64, cacheBytes int, insts uint64) 
 	if warm < 2_000_000 {
 		warm = 2_000_000
 	}
-	var misses, counted uint64
-	for i := uint64(0); i < insts+warm; i++ {
-		inst, _ := gen.Next()
-		if i == warm {
-			misses = 0
-			counted = 0
-		}
-		counted++
-		if !inst.Op.IsMem() {
-			continue
-		}
-		if !array.Lookup(inst.Addr) {
-			array.Fill(inst.Addr)
-			misses++
+	misses := make([]uint64, len(sizes))
+	var addrs, branches [4096]uint64
+	probe := func(n uint64) {
+		for n > 0 {
+			chunk := uint64(len(addrs))
+			if chunk > n {
+				chunk = n
+			}
+			n -= chunk
+			na, _ := gen.Warm(int(chunk), addrs[:], branches[:])
+			for i, array := range arrays {
+				for _, a := range addrs[:na] {
+					if !array.Lookup(a) {
+						array.Fill(a)
+						misses[i]++
+					}
+				}
+			}
 		}
 	}
-	if counted == 0 {
-		return 0, fmt.Errorf("sim: no instructions measured")
+	probe(warm)
+	clear(misses)
+	probe(insts)
+	rates := make([]float64, len(sizes))
+	for i, n := range misses {
+		rates[i] = float64(n) / float64(insts)
 	}
-	return float64(misses) / float64(counted), nil
+	return rates, nil
 }

@@ -141,24 +141,21 @@ func TestExecutionTimeNs(t *testing.T) {
 }
 
 func TestMissRatePointDecreasesWithSize(t *testing.T) {
-	small, err := MissRatePoint("gcc", 1, 4<<10, 60_000)
+	rates, err := MissRates("gcc", 1, []int{4 << 10, 512 << 10}, 60_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	large, err := MissRatePoint("gcc", 1, 512<<10, 60_000)
-	if err != nil {
-		t.Fatal(err)
-	}
+	small, large := rates[0], rates[1]
 	if small <= large {
 		t.Errorf("gcc miss rate: 4K (%.4f) must exceed 512K (%.4f)", small, large)
 	}
 	if small <= 0 || small > 0.2 {
 		t.Errorf("gcc 4K miss rate = %.4f, implausible", small)
 	}
-	if _, err := MissRatePoint("nope", 1, 4<<10, 1000); err == nil {
+	if _, err := MissRates("nope", 1, []int{4 << 10}, 1000); err == nil {
 		t.Error("unknown benchmark must fail")
 	}
-	if _, err := MissRatePoint("gcc", 1, 1000, 1000); err == nil {
+	if _, err := MissRates("gcc", 1, []int{1000}, 1000); err == nil {
 		t.Error("bad cache geometry must fail")
 	}
 }
@@ -166,15 +163,15 @@ func TestMissRatePointDecreasesWithSize(t *testing.T) {
 func TestGroupMissRateOrdering(t *testing.T) {
 	// Figure 3: integer benchmarks have the lowest miss rates,
 	// multiprogramming the highest, at moderate cache sizes.
-	gcc, err := MissRatePoint("gcc", 1, 32<<10, 80_000)
+	gcc, err := MissRates("gcc", 1, []int{32 << 10}, 80_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	db, err := MissRatePoint("database", 1, 32<<10, 80_000)
+	db, err := MissRates("database", 1, []int{32 << 10}, 80_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gcc >= db {
+	if gcc, db := gcc[0], db[0]; gcc >= db {
 		t.Errorf("gcc (%.4f) must miss less than database (%.4f) at 32K", gcc, db)
 	}
 }

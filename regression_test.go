@@ -65,10 +65,11 @@ func TestRegressionMissRates(t *testing.T) {
 		t.Skip("regression pins need full-fidelity runs")
 	}
 	for bench, want := range pinnedMissRate {
-		got, err := sim.MissRatePoint(bench, 1, 32<<10, 300_000)
+		rates, err := sim.MissRates(bench, 1, []int{32 << 10}, 300_000)
 		if err != nil {
 			t.Fatalf("%s: %v", bench, err)
 		}
+		got := rates[0]
 		if math.Abs(got-want)/want > 0.15 {
 			t.Errorf("%s: misses/inst = %.4f, pinned %.3f (±15%%)", bench, got, want)
 		}
