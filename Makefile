@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build bin test race vet fmt verify bench serve chaos cover fuzz cluster sample trace hbbench
+.PHONY: build bin test race vet fmt verify bench serve chaos cover fuzz cluster sample trace hbbench golden
 
 build:
 	$(GO) build ./...
@@ -55,6 +55,13 @@ cluster:
 # full sweep is the release gate.)
 sample:
 	$(GO) test -count=1 -v -run TestSampledVsFull -timeout 20m ./internal/sim
+
+# Golden-output corpus: SHA-256 digests of every quick figure table,
+# one fixed hbsweep CSV, and the hashed Results of the sim identity
+# suites' configs must match testdata/golden/. Regenerate only for a
+# deliberate semantics change: go test -run TestGolden -update .
+golden:
+	$(GO) test -count=1 -run TestGolden .
 
 # Run the simulation service locally with sensible dev defaults.
 serve:
