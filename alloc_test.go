@@ -132,10 +132,11 @@ func TestCPUStepCheckerDisabledAllocFree(t *testing.T) {
 
 // TestBatchStepAllocFree pins the batch kernel's steady-state round:
 // once every lane is past prewarm, a lockstep Step — ring refills,
-// chunked core runs, retirement bookkeeping across all lanes — must
-// not allocate at all. The warmup windows are oversized so no lane
-// settles during the pin (settling allocates the Result, which is
-// construction/teardown cost, not hot-loop cost).
+// chunked core runs, a sampled lane's interval schedule with its
+// functional fast-forwards and window records, retirement bookkeeping
+// across all lanes — must not allocate at all. The windows are
+// oversized so no lane settles during the pin (settling allocates the
+// Result, which is construction/teardown cost, not hot-loop cost).
 func TestBatchStepAllocFree(t *testing.T) {
 	mk := func(ports mem.PortConfig) sim.Config {
 		return sim.Config{
@@ -148,9 +149,17 @@ func TestBatchStepAllocFree(t *testing.T) {
 			MeasureInsts: 10_000,
 		}
 	}
+	// The sampled lane reaches its measure phase in the first rounds
+	// and times about one interval per two rounds, so a hundred
+	// intervals outlast the pin.
+	sampled := mk(mem.PortConfig{Kind: mem.DuplicatePorts})
+	sampled.WarmupInsts = 2_000
+	sampled.MeasureInsts = 100 * 20_000
+	sampled.Sample = &sim.SampleSpec{IntervalInsts: 20_000, WindowInsts: 3_000, WarmupInsts: 1_000}
 	cfgs := []sim.Config{
 		mk(mem.PortConfig{Kind: mem.IdealPorts, Count: 2}),
 		mk(mem.PortConfig{Kind: mem.BankedPorts, Count: 8}),
+		sampled,
 	}
 	b, err := sim.NewBatch(context.Background(), cfgs, sim.RunOpts{})
 	if err != nil {

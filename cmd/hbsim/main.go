@@ -43,7 +43,7 @@ func main() {
 		cycle   = flag.Float64("cycle", 25, "processor cycle time in FO4 (scales L2/memory latencies and bus widths)")
 		seed    = flag.Uint64("seed", 1, "workload seed")
 		measure = flag.Uint64("insts", sim.DefaultMeasure, "instructions to measure")
-		prewarm = flag.String("prewarm-mode", "", "prewarm mode: fast-forward (default), stream, timing")
+		prewarm = flag.String("prewarm-mode", "", "prewarm mode: fast-forward (default) or timing")
 		timeout = flag.Duration("timeout", 0, "wall-clock budget for the run (0 = unlimited); exceeding it is an error")
 		maxCyc  = flag.Uint64("max-cycles", 0, "simulated-cycle budget for the run (0 = unlimited); exceeding it is an error")
 		chk     = flag.Bool("check", false, "run with cycle-level invariant checking (slow; fails on any machine-state violation)")

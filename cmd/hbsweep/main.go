@@ -77,7 +77,7 @@ func main() {
 		prewarm  = flag.Uint64("prewarm", 0, "prewarm instructions per point (0 = sim default)")
 		warmup   = flag.Uint64("warmup", 0, "timed warm-up instructions per point (0 = sim default)")
 		insts    = flag.Uint64("insts", sim.DefaultMeasure, "measured instructions per point")
-		pwMode   = flag.String("prewarm-mode", "", "prewarm mode: fast-forward (default), stream, timing")
+		pwMode   = flag.String("prewarm-mode", "", "prewarm mode: fast-forward (default) or timing")
 		workers  = flag.Int("j", runtime.NumCPU(), "parallel simulation workers")
 		batch    = flag.Int("batch", 1, "lockstep simulations per worker: each worker steps up to N points as one batch, sharing stream generation and prewarm (1 = off; ignored with -snapshot-dir)")
 		cacheDir = flag.String("cache-dir", "", "content-addressed result cache directory (empty = caching off)")

@@ -126,11 +126,13 @@ func (a *Array) rebind(tags []uint64, meta []uint64, dirty []bool, fill []int32)
 // so on. Behavior is identical to per-call NewSystem — only the
 // allocation layout changes, keeping a batch's hot arrays dense when
 // one goroutine steps its lanes in lockstep. Construction failures are
-// reported per index; the corresponding System is nil.
+// reported per index; the corresponding System is nil. A batch with
+// fewer than two Systems keeps NewSystem's storage: there is nothing
+// to pack it with.
 func NewSystemBatch(cfgs []SystemConfig) ([]*System, []error) {
 	systems := make([]*System, len(cfgs))
 	errs := make([]error, len(cfgs))
-	var nU64, nBool, nI32 int
+	var nU64, nBool, nI32, built int
 	for i, cfg := range cfgs {
 		sys, err := NewSystem(cfg)
 		if err != nil {
@@ -138,11 +140,15 @@ func NewSystemBatch(cfgs []SystemConfig) ([]*System, []error) {
 			continue
 		}
 		systems[i] = sys
+		built++
 		for _, a := range sys.arrays() {
 			nU64 += 2 * len(a.tags) // tags + meta
 			nBool += len(a.dirty)
 			nI32 += len(a.fill)
 		}
+	}
+	if built < 2 {
+		return systems, errs
 	}
 	var arrs []*Array
 	for _, sys := range systems {

@@ -90,7 +90,8 @@ func TestServiceBatchedDrain(t *testing.T) {
 }
 
 // TestServiceBatchSizeOneKeepsClassicLoop pins the opt-in default: a
-// plain runner yields BatchSize 1 and the one-job-at-a-time loop.
+// plain runner yields BatchSize 1, so the worker loop's gulps hold one
+// job each and run one job at a time through RunJob.
 func TestServiceBatchSizeOneKeepsClassicLoop(t *testing.T) {
 	r, err := runner.New(runner.Options{Workers: 2, Sim: stubSim})
 	if err != nil {

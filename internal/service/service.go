@@ -48,9 +48,9 @@ type Options struct {
 	// BatchSize queued jobs in one gulp and execute them as a single
 	// runner batch call, so a batch-capable runner
 	// (runner.Options.BatchSize) steps them in lockstep instead of one
-	// at a time. One forces the classic one-job-at-a-time loop; zero
-	// adopts the runner's own batch size, so wiring -batch through the
-	// runner is enough.
+	// at a time. One runs every job alone through RunJob; zero adopts
+	// the runner's own batch size, so wiring -batch through the runner
+	// is enough.
 	BatchSize int
 	// RetryAfter is the backoff hint returned with 429 responses.
 	// Zero selects one second.
@@ -390,17 +390,11 @@ func New(r *runner.Runner, opts Options) *Service {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			if opts.BatchSize <= 1 {
-				for j := range s.queue {
-					s.runJob(j)
-				}
-				return
-			}
-			// Batched drain: take one job (blocking), then greedily
-			// drain up to BatchSize-1 more without waiting, and run the
-			// gulp as one batch. An idle service still starts a lone
-			// job immediately — batching never delays work to wait for
-			// companions.
+			// Take one job (blocking), then greedily drain up to
+			// BatchSize-1 more without waiting, and run the gulp as one
+			// batch. An idle service still starts a lone job
+			// immediately — batching never delays work to wait for
+			// companions — and a gulp of one runs through RunJob.
 			for j := range s.queue {
 				batch := []*job{j}
 			drain:
@@ -767,8 +761,8 @@ func (s *Service) runJob(j *job) {
 }
 
 // runJobs executes a drained gulp of queued jobs as one runner batch
-// call (the BatchSize > 1 worker loop). Each job still settles — state,
-// breaker, latency, sweep progress — individually.
+// call; a gulp of one goes through runJob. Each job still settles —
+// state, breaker, latency, sweep progress — individually.
 func (s *Service) runJobs(jobs []*job) {
 	if len(jobs) == 1 {
 		s.runJob(jobs[0])

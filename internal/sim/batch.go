@@ -13,16 +13,18 @@ import (
 	"hbcache/internal/workload"
 )
 
-// This file is the batch-parallel simulation kernel: one goroutine
-// steps a batch of independent simulations ("lanes") in lockstep
-// rounds of runChunk retired instructions. Batching exploits two
-// redundancies a sweep's points share:
+// This file is the simulation kernel: one goroutine steps a batch of
+// independent simulations ("lanes") in lockstep rounds of runChunk
+// retired instructions, each lane driven by machine.step. A single run
+// is a batch of one. Batching exploits two redundancies a sweep's
+// points share:
 //
 //   - The instruction stream depends only on (benchmark, seed), never
-//     on the timing or memory configuration, so lanes with the same
-//     stream key read one shared generator through a ring buffer
-//     instead of each paying stream synthesis (~half the wall time of
-//     a single run).
+//     on the timing or memory configuration, so fresh exhaustive lanes
+//     with the same stream key read one shared generator through a
+//     ring buffer instead of each paying stream synthesis (~half the
+//     wall time of a single run). A lane alone on its stream reads its
+//     own source directly.
 //   - The functional prewarm's state depends only on the stream and
 //     the cache geometry (mem.WarmStateKey), so sweep points that
 //     differ in ports, latencies, or line buffers share one warm
@@ -31,8 +33,9 @@ import (
 //
 // Per-lane state (core, hierarchy, predictor, checkers) stays fully
 // independent — batched results are bit-identical to single runs,
-// which the batch identity tests pin across every workload and
-// organization, including the differential stream hash.
+// which the batch identity tests pin against the golden corpus across
+// every workload and organization, including the differential stream
+// hash.
 
 // ringInit is the shared stream ring's initial capacity in
 // instructions (a power of two). Lanes of one stream advance in equal
@@ -40,8 +43,7 @@ import (
 // window of each other; the ring grows only under pathological skew.
 const ringInit = 1 << 14
 
-// warmChunk is the functional prewarm's drain chunk, matching
-// machine.fastForward so the warm replay is structured identically.
+// warmChunk is the functional drain's chunk in instructions.
 const warmChunk = 4096
 
 // streamKey groups lanes that can share one generated stream: the
@@ -174,9 +176,13 @@ func (r *laneReader) Next() (isa.Inst, bool) {
 	return inst, true
 }
 
-// lane is one simulation of the batch.
+// lane is one simulation of the batch. A lane reads its stream either
+// through a cursor into a shared ring (rd set) or, when no other fresh
+// exhaustive lane shares its stream, straight from its own source,
+// exactly as an unbatched run would.
 type lane struct {
-	idx     int // position in the caller's config slice
+	cfg     Config          // resolved
+	src     workload.Source // the lane's own source, or its stream's master
 	m       *machine
 	rd      *laneReader
 	settled bool
@@ -189,32 +195,19 @@ func (ln *lane) fail(err error) {
 	ln.settled = true
 }
 
-// step advances the lane by at most one runChunk of its current
-// phase, handling phase transitions exactly as machine.run does. It
-// reports whether the lane settled (finished or failed).
+// step advances the lane by at most one runChunk and reports whether
+// it settled (finished or failed).
 func (ln *lane) step() bool {
-	m := ln.m
-	done, err := m.runTimedChunk()
+	done, err := ln.m.step()
 	if err != nil {
 		ln.fail(err)
 		return true
 	}
-	if !done {
-		return false
-	}
-	switch m.phase {
-	case phasePrewarm:
-		m.phase, m.remaining = phaseWarmup, m.cfg.WarmupInsts
-	case phaseWarmup:
-		m.captureBaselines()
-		m.core.ResetStats()
-		m.phase, m.remaining = phaseMeasure, m.cfg.MeasureInsts
-	case phaseMeasure:
-		ln.res = m.result(m.core.Stats())
+	if done {
+		ln.res = ln.m.result()
 		ln.settled = true
-		return true
 	}
-	return false
+	return done
 }
 
 // Batch is a set of lanes stepping in lockstep rounds. Construct with
@@ -222,14 +215,12 @@ func (ln *lane) step() bool {
 // Results, and release the watcher with Close — or use RunBatch,
 // which does all of that.
 type Batch struct {
-	ctx         context.Context // caller context, for abort classification
 	cancel      context.CancelFunc
 	watcherDone chan struct{}
-	opts        RunOpts
 	stop        *atomic.Bool // batch-wide stop: cancellation / wall budget
 
 	streams []*bstream
-	lanes   []*lane
+	lanes   []lane
 	active  []*lane
 	warmed  bool
 	closed  bool
@@ -238,21 +229,21 @@ type Batch struct {
 // NewBatch assembles a batch of simulations over cfgs. Lanes are
 // constructed with the batch's hierarchies and cores packed into
 // shared structure-of-arrays backing (mem.NewSystemBatch,
-// cpu.NewBatch). Per-lane configuration errors settle that lane with
-// a wrapped ErrInvalidConfig and leave the rest of the batch to run;
-// a global error is returned only for options the batch form cannot
-// honor (snapshots are per-run state, so Resume/Snapshot* are
-// rejected) or a fault-injection failure at fault.SiteSimRun.
+// cpu.NewBatch). Per-lane configuration errors — and, for a batch of
+// one, an unusable RunOpts.Resume snapshot — settle that lane and
+// leave the rest of the batch to run. A global error is returned only
+// for snapshot options on a batch of two or more (snapshots are one
+// run's state) or a fault-injection failure at fault.SiteSimRun.
 func NewBatch(ctx context.Context, cfgs []Config, opts RunOpts) (*Batch, error) {
-	if opts.Resume != "" || opts.SnapshotPath != "" || opts.SnapshotPrewarm != "" || opts.SnapshotOnAbort != "" {
-		return nil, fmt.Errorf("%w: snapshot options are per-run state and cannot apply to batch lanes (use RunContext or BatchSize 1)", ErrInvalidConfig)
+	if len(cfgs) > 1 && (opts.Resume != "" || opts.SnapshotPath != "" || opts.SnapshotPrewarm != "" || opts.SnapshotOnAbort != "") {
+		return nil, fmt.Errorf("%w: snapshot options are one run's state and apply only to a batch of one (use RunContext or BatchSize 1)", ErrInvalidConfig)
 	}
+	// The wall budget is installed before anything else so even the
+	// fault site (where chaos tests park hangs) is bounded by it.
 	rctx, cancel := context.WithCancel(ctx)
 	if opts.Timeout > 0 {
 		rctx, cancel = context.WithTimeout(ctx, opts.Timeout)
 	}
-	// The fault site fires once per batch, bounded by the wall budget
-	// like RunContext's per-run fire.
 	if err := opts.Faults.Fire(rctx, fault.SiteSimRun); err != nil {
 		cancel()
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -264,25 +255,42 @@ func NewBatch(ctx context.Context, cfgs []Config, opts RunOpts) (*Batch, error) 
 		return nil, err
 	}
 
-	b := &Batch{ctx: ctx, cancel: cancel, opts: opts, stop: new(atomic.Bool), watcherDone: make(chan struct{})}
-	b.lanes = make([]*lane, len(cfgs))
+	b := &Batch{cancel: cancel, stop: new(atomic.Bool), watcherDone: make(chan struct{})}
+	b.lanes = make([]lane, len(cfgs))
 
-	// Resolve configs and group lanes onto shared streams.
-	byKey := make(map[streamKey]*bstream)
-	resolved := make([]Config, len(cfgs))
+	// Resolve configs and count the fresh exhaustive lanes of each
+	// stream: only a stream read by two or more of them is worth a
+	// shared ring. Sampled lanes fast-forward mid-measure and resumed
+	// lanes start mid-stream, so both always read their own source.
+	readers := make(map[streamKey]int, len(cfgs))
 	for i, cfg := range cfgs {
-		ln := &lane{idx: i}
-		b.lanes[i] = ln
-		rcfg := cfg.WithDefaults()
-		resolved[i] = rcfg
-		if rcfg.Sample != nil {
-			ln.fail(fmt.Errorf("%w: sampled configs run per-lane; use RunContext (the runner routes them automatically)", ErrInvalidConfig))
+		ln := &b.lanes[i]
+		ln.cfg = cfg.WithDefaults()
+		if err := ln.cfg.Sample.validate(ln.cfg.MeasureInsts); err != nil {
+			ln.fail(err)
+		} else if ln.cfg.Sample != nil && opts.Resume != "" {
+			ln.fail(fmt.Errorf("%w: sampled runs cannot resume from a snapshot", ErrInvalidConfig))
+		} else if ln.cfg.Sample == nil && opts.Resume == "" {
+			readers[streamKeyOf(ln.cfg)]++
+		}
+	}
+	byKey := make(map[streamKey]*bstream)
+	for i := range b.lanes {
+		ln := &b.lanes[i]
+		if ln.settled {
 			continue
 		}
-		key := streamKeyOf(rcfg)
+		key := streamKeyOf(ln.cfg)
+		if ln.cfg.Sample != nil || opts.Resume != "" || readers[key] < 2 {
+			var err error
+			if ln.src, err = ln.cfg.newSource(); err != nil {
+				ln.fail(err)
+			}
+			continue
+		}
 		st, ok := byKey[key]
 		if !ok {
-			gen, err := rcfg.newSource()
+			gen, err := ln.cfg.newSource()
 			if err != nil {
 				ln.fail(err)
 				continue
@@ -291,48 +299,57 @@ func NewBatch(ctx context.Context, cfgs []Config, opts RunOpts) (*Batch, error) 
 			byKey[key] = st
 			b.streams = append(b.streams, st)
 		}
-		ln.rd = &laneReader{st: st}
+		ln.src, ln.rd = st.gen, &laneReader{st: st}
 		st.lanes = append(st.lanes, ln)
 	}
 
 	// Build the hierarchies and cores of all viable lanes with batch
 	// (structure-of-arrays) storage.
-	var build []*lane
+	var build []int
 	var memCfgs []mem.SystemConfig
-	for i, ln := range b.lanes {
-		if !ln.settled {
-			build = append(build, ln)
-			memCfgs = append(memCfgs, resolved[i].Memory)
+	for i := range b.lanes {
+		if !b.lanes[i].settled {
+			build = append(build, i)
+			memCfgs = append(memCfgs, b.lanes[i].cfg.Memory)
 		}
 	}
 	systems, memErrs := mem.NewSystemBatch(memCfgs)
-	var coreLanes []*lane
-	var coreCfgs []cpu.Config
-	var readers []isa.Reader
-	var dmems []cpu.DataMemory
-	sysFor := make(map[*lane]*mem.System, len(build))
-	for j, ln := range build {
+	coreCfgs := make([]cpu.Config, len(build))
+	coreReaders := make([]isa.Reader, len(build))
+	dmems := make([]cpu.DataMemory, len(build))
+	for j, i := range build {
+		ln := &b.lanes[i]
 		if memErrs[j] != nil {
 			ln.fail(fmt.Errorf("%w: %v", ErrInvalidConfig, memErrs[j]))
 			continue
 		}
-		sysFor[ln] = systems[j]
-		coreLanes = append(coreLanes, ln)
-		coreCfgs = append(coreCfgs, resolved[ln.idx].CPU)
-		readers = append(readers, ln.rd)
-		dmems = append(dmems, systems[j].L1)
+		coreCfgs[j], coreReaders[j], dmems[j] = ln.cfg.CPU, ln.src, systems[j].L1
+		if ln.rd != nil {
+			coreReaders[j] = ln.rd
+		}
 	}
-	cores, cpuErrs := cpu.NewBatch(coreCfgs, readers, dmems)
-	for k, ln := range coreLanes {
-		if cpuErrs[k] != nil {
-			ln.fail(fmt.Errorf("%w: %v", ErrInvalidConfig, cpuErrs[k]))
+	cores, cpuErrs := cpu.NewBatch(coreCfgs, coreReaders, dmems)
+	for j, i := range build {
+		ln := &b.lanes[i]
+		if ln.settled {
+			continue
+		}
+		if cpuErrs[j] != nil {
+			ln.fail(fmt.Errorf("%w: %v", ErrInvalidConfig, cpuErrs[j]))
 			continue
 		}
 		// Each lane owns its stop flag so one lane's invariant
 		// violation or cycle budget halts only that lane.
-		laneStop := new(atomic.Bool)
-		ln.m = assembleMachine(ctx, resolved[ln.idx], opts, laneStop, ln.rd.st.gen, sysFor[ln], cores[k])
-		cores[k].SetBudget(laneStop, opts.MaxCycles)
+		m := assembleMachine(ctx, ln.cfg, opts, new(atomic.Bool), ln.src, systems[j], cores[j])
+		m.done = rctx.Done()
+		if opts.Resume != "" {
+			if err := m.resume(opts.Resume); err != nil {
+				ln.fail(err)
+				continue
+			}
+		}
+		cores[j].SetBudget(m.stop, m.effMax)
+		ln.m = m
 	}
 
 	// One watcher folds caller cancellation and the wall budget into
@@ -341,21 +358,30 @@ func NewBatch(ctx context.Context, cfgs []Config, opts RunOpts) (*Batch, error) 
 		defer close(b.watcherDone)
 		<-rctx.Done()
 		b.stop.Store(true)
-		for _, ln := range b.lanes {
-			if ln.m != nil {
-				ln.m.stop.Store(true)
+		for i := range b.lanes {
+			if m := b.lanes[i].m; m != nil {
+				m.stop.Store(true)
 			}
 		}
 	}()
 	return b, nil
 }
 
-// prewarm brings every lane to the start of its first timed phase,
-// sharing the region sweep and functional replay between lanes whose
-// warm state cannot differ (same stream, same mem.WarmStateKey).
+// prewarm brings every fresh lane to the start of its first timed
+// phase: lanes on a shared ring through their stream's shared replay,
+// lanes on their own source through their machine's own prewarm.
 func (b *Batch) prewarm() {
 	for _, st := range b.streams {
 		b.prewarmStream(st)
+	}
+	for i := range b.lanes {
+		ln := &b.lanes[i]
+		if ln.settled || ln.rd != nil || ln.m.phase != "" {
+			continue
+		}
+		if err := ln.m.prewarm(); err != nil {
+			ln.fail(err)
+		}
 	}
 }
 
@@ -370,6 +396,9 @@ func (b *Batch) abortStream(st *bstream) {
 	}
 }
 
+// prewarmStream prewarms a shared stream's lanes, sharing the region
+// sweep and functional replay between lanes whose warm state cannot
+// differ (same stream, same mem.WarmStateKey).
 func (b *Batch) prewarmStream(st *bstream) {
 	// Group the stream's viable lanes by warm-state key; the first lane
 	// of each group replays, the rest copy its state.
@@ -379,7 +408,7 @@ func (b *Batch) prewarmStream(st *bstream) {
 		if ln.settled {
 			continue
 		}
-		k := mem.WarmStateKey(ln.m.cfg.Memory)
+		k := mem.WarmStateKey(ln.cfg.Memory)
 		if _, ok := groups[k]; !ok {
 			order = append(order, k)
 		}
@@ -388,7 +417,7 @@ func (b *Batch) prewarmStream(st *bstream) {
 	if len(order) == 0 {
 		return
 	}
-	cfg := groups[order[0]][0].m.cfg // windows and mode are stream-uniform
+	cfg := groups[order[0]][0].cfg // windows and mode are stream-uniform
 
 	// Region sweep, leaders only.
 	for _, k := range order {
@@ -397,65 +426,27 @@ func (b *Batch) prewarmStream(st *bstream) {
 			return
 		}
 	}
-
-	if cfg.PrewarmMode == PrewarmTiming {
-		// Timing-mode prewarm runs through each lane's pipeline; only
-		// the sweep state is shareable.
+	if cfg.PrewarmMode != PrewarmTiming {
+		// Functional replay: drain the stream's prewarm prefix once,
+		// fanning memory references to each group leader and branch
+		// outcomes to every lane's own predictor — predictor state
+		// depends on the CPU config, so it is never shared.
+		var leaders []*mem.System
+		var preds []*cpu.Predictor
 		for _, k := range order {
-			g := groups[k]
-			for _, f := range g[1:] {
-				if err := mem.CopyWarmState(f.m.sys, g[0].m.sys); err != nil {
-					f.fail(fmt.Errorf("%w: %v", ErrInvalidConfig, err))
-				}
+			leaders = append(leaders, groups[k][0].m.sys)
+			for _, ln := range groups[k] {
+				preds = append(preds, ln.m.core.Predictor())
 			}
 		}
-		for _, ln := range st.lanes {
-			if !ln.settled {
-				ln.m.phase, ln.m.remaining = phasePrewarm, ln.m.cfg.PrewarmInsts
-			}
-		}
-		return
-	}
-
-	// Functional replay: drain the stream's prewarm prefix once,
-	// fanning memory references to each group leader and branch
-	// outcomes to every lane's own predictor — predictor state depends
-	// on the CPU config, so it is never shared.
-	train := cfg.PrewarmMode != PrewarmStream
-	leaders := make([]*lane, 0, len(order))
-	for _, k := range order {
-		leaders = append(leaders, groups[k][0])
-	}
-	var addrs, branches [warmChunk]uint64
-	for left := cfg.PrewarmInsts; left > 0; {
-		if b.stop.Load() {
+		if !drain(st.gen, cfg.PrewarmInsts, leaders, preds, b.stop, nil, new(drainBuf)) {
 			b.abortStream(st)
 			return
 		}
-		chunk := len(addrs)
-		if uint64(chunk) > left {
-			chunk = int(left)
-		}
-		left -= uint64(chunk)
-		na, nb := st.gen.Warm(chunk, addrs[:], branches[:])
-		for _, ld := range leaders {
-			sys := ld.m.sys
-			for _, a := range addrs[:na] {
-				sys.WarmTouch(a)
-			}
-		}
-		if train {
-			for _, k := range order {
-				for _, ln := range groups[k] {
-					pred := ln.m.core.Predictor()
-					for _, br := range branches[:nb] {
-						pred.Warm(br>>1, br&1 == 1)
-					}
-				}
-			}
-		}
 	}
-	// Followers copy their leader's warm state.
+	// Followers copy their leader's warm state. Timing-mode prewarm
+	// then runs through each lane's pipeline; only the sweep state was
+	// shareable.
 	for _, k := range order {
 		g := groups[k]
 		for _, f := range g[1:] {
@@ -464,20 +455,28 @@ func (b *Batch) prewarmStream(st *bstream) {
 			}
 		}
 	}
+	if cfg.PrewarmMode == PrewarmTiming {
+		for _, ln := range st.lanes {
+			if !ln.settled {
+				ln.m.phase, ln.m.remaining = phasePrewarm, ln.cfg.PrewarmInsts
+			}
+		}
+		return
+	}
 	// The timed stream begins where the replay left off: align the ring
-	// and every cursor to the generator's position, exactly as a single
-	// run's core picks up its already-advanced generator.
+	// and every cursor to the generator's position, exactly as a lone
+	// lane's core picks up its already-advanced source.
 	pos := st.gen.Emitted()
 	st.base, st.next = pos, pos
 	for _, ln := range st.lanes {
 		ln.rd.pos = pos
 		if !ln.settled {
-			ln.m.phase, ln.m.remaining = phaseWarmup, ln.m.cfg.WarmupInsts
+			ln.m.phase, ln.m.remaining = phaseWarmup, ln.cfg.WarmupInsts
 		}
 	}
 }
 
-// Step drives the batch one round: the first call performs the shared
+// Step drives the batch one round: the first call performs the
 // prewarm, each later call advances every active lane by one timed
 // chunk, retiring settled lanes in place with a swap-remove. It
 // reports whether any lane is still running.
@@ -485,8 +484,8 @@ func (b *Batch) Step() bool {
 	if !b.warmed {
 		b.warmed = true
 		b.prewarm()
-		for _, ln := range b.lanes {
-			if !ln.settled {
+		for i := range b.lanes {
+			if ln := &b.lanes[i]; !ln.settled {
 				b.active = append(b.active, ln)
 			}
 		}
@@ -515,7 +514,8 @@ func (b *Batch) Active() int { return len(b.active) }
 func (b *Batch) Results() ([]Result, []error) {
 	res := make([]Result, len(b.lanes))
 	errs := make([]error, len(b.lanes))
-	for i, ln := range b.lanes {
+	for i := range b.lanes {
+		ln := &b.lanes[i]
 		if !ln.settled {
 			errs[i] = fmt.Errorf("sim: batch lane %d not settled; drive Step to completion", i)
 			continue
@@ -537,40 +537,20 @@ func (b *Batch) Close() {
 }
 
 // RunBatch executes cfgs as one lockstep batch under ctx, returning
-// results and errors in config order. Results are bit-identical to
-// running each config through RunContext with the same options —
-// including the differential stream hash. Sampled configs interleave
-// timed and fast-forwarded spans, which the lockstep rounds cannot
-// share, so they transparently fall back to the per-run path.
+// results and errors in config order. Each lane's result is
+// bit-identical to running its config alone through RunContext with
+// the same options — including the differential stream hash.
 func RunBatch(ctx context.Context, cfgs []Config, opts RunOpts) ([]Result, []error) {
-	results := make([]Result, len(cfgs))
-	errs := make([]error, len(cfgs))
-	var idx []int
-	var sub []Config
-	for i, cfg := range cfgs {
-		if cfg.WithDefaults().Sample != nil {
-			results[i], errs[i] = RunContext(ctx, cfg, opts)
-			continue
-		}
-		idx = append(idx, i)
-		sub = append(sub, cfg)
-	}
-	if len(sub) == 0 {
-		return results, errs
-	}
-	b, err := NewBatch(ctx, sub, opts)
+	b, err := NewBatch(ctx, cfgs, opts)
 	if err != nil {
-		for _, i := range idx {
+		errs := make([]error, len(cfgs))
+		for i := range errs {
 			errs[i] = err
 		}
-		return results, errs
+		return make([]Result, len(cfgs)), errs
 	}
 	defer b.Close()
 	for b.Step() {
 	}
-	res, es := b.Results()
-	for j, i := range idx {
-		results[i], errs[i] = res[j], es[j]
-	}
-	return results, errs
+	return b.Results()
 }

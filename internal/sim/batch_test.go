@@ -1,8 +1,16 @@
 package sim
 
 import (
+	"bufio"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"os"
+	"strings"
+	"sync"
 	"testing"
 
 	"hbcache/internal/cpu"
@@ -46,38 +54,84 @@ func requireIdentical(t *testing.T, label string, single, batched Result) {
 	}
 }
 
+// goldenCorpus loads the repository's golden result corpus
+// (testdata/golden/results.sha256, regenerated by the root package's
+// TestGolden): label -> [result digest, config digest].
+var goldenCorpus = sync.OnceValues(func() (map[string][2]string, error) {
+	f, err := os.Open("../../testdata/golden/results.sha256")
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	corpus := map[string][2]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		if fields := strings.Fields(sc.Text()); len(fields) == 3 {
+			corpus[fields[2]] = [2]string{fields[0], fields[1]}
+		}
+	}
+	return corpus, sc.Err()
+})
+
+func sha256Hex(v any) string {
+	b, err := json.Marshal(v)
+	if err != nil {
+		panic(err)
+	}
+	sum := sha256.Sum256(b)
+	return hex.EncodeToString(sum[:])
+}
+
+// requireGolden fails unless got — a Result produced under
+// RunOpts{Hash: true} for cfg, by any lane form — is the corpus
+// entry recorded under label, stream hash included. cfg must be the
+// exact config the corpus recorded (for a trace replay, the live
+// config the trace was recorded from).
+func requireGolden(t *testing.T, label string, cfg Config, got Result) {
+	t.Helper()
+	corpus, err := goldenCorpus()
+	if err != nil {
+		t.Fatalf("golden corpus: %v", err)
+	}
+	want, ok := corpus[label]
+	if !ok {
+		t.Fatalf("%s: not in the golden corpus", label)
+	}
+	if sha256Hex(cfg.WithDefaults()) != want[1] {
+		t.Fatalf("%s: config differs from the one the golden corpus recorded", label)
+	}
+	if got.StreamHash == 0 {
+		t.Errorf("%s: no stream hash; identity not witnessed", label)
+	}
+	if sha256Hex(got) != want[0] {
+		t.Errorf("%s: result diverges from the golden corpus: %+v", label, got)
+	}
+}
+
 // TestBatchBitIdentityAcrossWorkloads pins RunBatch's contract: for
-// every workload and organization the batched result is bit-identical
-// to RunContext — same stats and same FNV stream hash — both when the
+// every workload and organization the batched result is the golden
+// corpus's — same stats and same FNV stream hash — both when the
 // batch holds one workload's organizations (shared stream, shared
 // prewarm) and when all 27 points run in a single mixed batch.
 func TestBatchBitIdentityAcrossWorkloads(t *testing.T) {
 	opts := RunOpts{Hash: true}
 	ctx := context.Background()
 	var allCfgs []Config
-	var allSingles []Result
+	var allLabels []string
 	for _, bench := range workload.BenchmarkNames() {
 		cfgs := make([]Config, 0, 3)
-		for _, org := range batchOrgs() {
+		for i, org := range batchOrgs() {
 			cfgs = append(cfgs, batchTestConfig(bench, org))
-		}
-		singles := make([]Result, len(cfgs))
-		for i, cfg := range cfgs {
-			r, err := RunContext(ctx, cfg, opts)
-			if err != nil {
-				t.Fatalf("%s[%d]: single run: %v", bench, i, err)
-			}
-			singles[i] = r
+			allLabels = append(allLabels, fmt.Sprintf("batch/%s/%d", bench, i))
 		}
 		results, errs := RunBatch(ctx, cfgs, opts)
 		for i := range cfgs {
 			if errs[i] != nil {
 				t.Fatalf("%s[%d]: batch lane: %v", bench, i, errs[i])
 			}
-			requireIdentical(t, bench, singles[i], results[i])
+			requireGolden(t, allLabels[len(allCfgs)+i], cfgs[i], results[i])
 		}
 		allCfgs = append(allCfgs, cfgs...)
-		allSingles = append(allSingles, singles...)
 	}
 
 	// All workloads and organizations in one heterogeneous batch.
@@ -86,7 +140,7 @@ func TestBatchBitIdentityAcrossWorkloads(t *testing.T) {
 		if errs[i] != nil {
 			t.Fatalf("combined lane %d (%s): %v", i, allCfgs[i].Benchmark, errs[i])
 		}
-		requireIdentical(t, "combined "+allCfgs[i].Benchmark, allSingles[i], results[i])
+		requireGolden(t, allLabels[i], allCfgs[i], results[i])
 	}
 }
 
@@ -94,8 +148,6 @@ func TestBatchBitIdentityAcrossWorkloads(t *testing.T) {
 // where only the region sweep is shared and the prewarm itself runs
 // through each lane's pipeline.
 func TestBatchBitIdentityTimingPrewarm(t *testing.T) {
-	opts := RunOpts{Hash: true}
-	ctx := context.Background()
 	var cfgs []Config
 	for _, org := range batchOrgs() {
 		cfg := batchTestConfig("gcc", org)
@@ -103,57 +155,28 @@ func TestBatchBitIdentityTimingPrewarm(t *testing.T) {
 		cfg.PrewarmMode = PrewarmTiming
 		cfgs = append(cfgs, cfg)
 	}
-	results, errs := RunBatch(ctx, cfgs, opts)
+	results, errs := RunBatch(context.Background(), cfgs, RunOpts{Hash: true})
 	for i, cfg := range cfgs {
-		single, err := RunContext(ctx, cfg, opts)
-		if err != nil {
-			t.Fatalf("lane %d single: %v", i, err)
-		}
 		if errs[i] != nil {
 			t.Fatalf("lane %d batch: %v", i, errs[i])
 		}
-		requireIdentical(t, "timing", single, results[i])
-	}
-}
-
-// TestBatchBitIdentityStreamPrewarm covers PrewarmStream, where the
-// predictor stays cold through the replay.
-func TestBatchBitIdentityStreamPrewarm(t *testing.T) {
-	opts := RunOpts{Hash: true}
-	ctx := context.Background()
-	var cfgs []Config
-	for _, org := range batchOrgs() {
-		cfg := batchTestConfig("tomcatv", org)
-		cfg.PrewarmMode = PrewarmStream
-		cfgs = append(cfgs, cfg)
-	}
-	results, errs := RunBatch(ctx, cfgs, opts)
-	for i, cfg := range cfgs {
-		single, err := RunContext(ctx, cfg, opts)
-		if err != nil {
-			t.Fatalf("lane %d single: %v", i, err)
-		}
-		if errs[i] != nil {
-			t.Fatalf("lane %d batch: %v", i, errs[i])
-		}
-		requireIdentical(t, "stream", single, results[i])
+		requireGolden(t, fmt.Sprintf("batch-timing/gcc/%d", i), cfg, results[i])
 	}
 }
 
 // TestBatchHeterogeneousBudgetAbort runs a mixed batch in which one
 // lane's measured window is far too long for the shared cycle budget:
 // that lane must fail with ErrBudget while every other lane completes
-// bit-identically to its single run under the same options.
+// bit-identically to its golden result.
 func TestBatchHeterogeneousBudgetAbort(t *testing.T) {
 	opts := RunOpts{Hash: true, MaxCycles: 150_000}
-	ctx := context.Background()
 	cfgs := []Config{
 		batchTestConfig("gcc", batchOrgs()[0]),
 		batchTestConfig("li", batchOrgs()[1]),
 		batchTestConfig("gcc", batchOrgs()[2]),
 	}
 	cfgs[2].MeasureInsts = 50_000_000 // cannot finish within MaxCycles
-	results, errs := RunBatch(ctx, cfgs, opts)
+	results, errs := RunBatch(context.Background(), cfgs, opts)
 
 	if errs[2] == nil {
 		t.Fatalf("oversized lane completed under a %d-cycle budget: %+v", opts.MaxCycles, results[2])
@@ -161,29 +184,28 @@ func TestBatchHeterogeneousBudgetAbort(t *testing.T) {
 	if !errors.Is(errs[2], ErrBudget) {
 		t.Errorf("oversized lane error = %v, want ErrBudget", errs[2])
 	}
-	for i := 0; i < 2; i++ {
+	for i, label := range []string{"batch/gcc/0", "batch/li/1"} {
 		if errs[i] != nil {
 			t.Fatalf("lane %d: %v", i, errs[i])
 		}
-		single, err := RunContext(ctx, cfgs[i], opts)
-		if err != nil {
-			t.Fatalf("lane %d single: %v", i, err)
-		}
-		requireIdentical(t, "survivor", single, results[i])
+		requireGolden(t, label, cfgs[i], results[i])
 	}
 }
 
-// TestBatchSnapshotOptsRejected pins the batch form's refusal of
-// per-run snapshot state: every affected lane reports a classified
+// TestBatchSnapshotOptsRejected pins where snapshot options apply: a
+// batch of one honors them exactly as RunContext does, while a batch
+// of two or more refuses them up front with a classified
 // ErrInvalidConfig instead of silently dropping the snapshot.
 func TestBatchSnapshotOptsRejected(t *testing.T) {
 	ctx := context.Background()
-	cfgs := []Config{batchTestConfig("gcc", batchOrgs()[0]), batchTestConfig("li", batchOrgs()[0])}
+	cfg := batchTestConfig("gcc", batchOrgs()[0])
+	cfgs := []Config{cfg, batchTestConfig("li", batchOrgs()[0])}
+	dir := t.TempDir()
 	for _, opts := range []RunOpts{
-		{SnapshotPath: t.TempDir() + "/s.snap", SnapshotAt: 1},
-		{Resume: t.TempDir() + "/missing.snap"},
-		{SnapshotPrewarm: t.TempDir() + "/p.snap"},
-		{SnapshotOnAbort: t.TempDir() + "/a.snap"},
+		{SnapshotPath: dir + "/s.snap", SnapshotAt: 1},
+		{Resume: dir + "/missing.snap"},
+		{SnapshotPrewarm: dir + "/p.snap"},
+		{SnapshotOnAbort: dir + "/a.snap"},
 	} {
 		if _, err := NewBatch(ctx, cfgs, opts); !errors.Is(err, ErrInvalidConfig) {
 			t.Errorf("NewBatch with %+v: err = %v, want ErrInvalidConfig", opts, err)
@@ -195,72 +217,103 @@ func TestBatchSnapshotOptsRejected(t *testing.T) {
 			}
 		}
 	}
+
+	// One lane: the prewarm-boundary and mid-run snapshots are written,
+	// and resuming the mid-run one reproduces the straight run.
+	opts := RunOpts{Hash: true, SnapshotPath: dir + "/s.snap", SnapshotAt: 1, SnapshotPrewarm: dir + "/p.snap"}
+	res, errs := RunBatch(ctx, []Config{cfg}, opts)
+	if errs[0] != nil {
+		t.Fatalf("batch of one with snapshot options: %v", errs[0])
+	}
+	requireGolden(t, "batch/gcc/0", cfg, res[0])
+	for _, path := range []string{opts.SnapshotPath, opts.SnapshotPrewarm} {
+		if _, err := os.Stat(path); err != nil {
+			t.Errorf("batch of one wrote no snapshot: %v", err)
+		}
+	}
+	resumed, errs := RunBatch(ctx, []Config{cfg}, RunOpts{Hash: true, Resume: opts.SnapshotPath})
+	if errs[0] != nil {
+		t.Fatalf("batch of one resuming: %v", errs[0])
+	}
+	requireGolden(t, "batch/gcc/0", cfg, resumed[0])
+	_, errs = RunBatch(ctx, []Config{cfg}, RunOpts{Resume: dir + "/missing.snap"})
+	if !errors.Is(errs[0], ErrSnapshot) {
+		t.Errorf("batch of one resuming a missing snapshot: err = %v, want ErrSnapshot", errs[0])
+	}
 }
 
-// TestBatchSampledFallsBack: sampled configs cannot share lockstep
-// rounds, so RunBatch must route them through the per-run path and
-// still return a sampled result at the right index.
-func TestBatchSampledFallsBack(t *testing.T) {
+// TestBatchSampledLanes pins sampled lanes running inside the lockstep
+// batch next to lanes of other kinds: three organizations sharing one
+// stream ring, a sampled lane of the same stream, and a trace replay
+// alone on its stream. Every lane must produce its golden result, and
+// only the exhaustive same-stream lanes may share a ring: the sampled
+// lane fast-forwards mid-measure and the trace lane has no partner, so
+// both read their own source.
+func TestBatchSampledLanes(t *testing.T) {
 	ctx := context.Background()
 	opts := RunOpts{Hash: true}
+	labels := []string{"batch/gcc/0", "batch/gcc/1", "batch/gcc/2", "batch-sampled/gcc", "batch/li/0"}
+	var cfgs []Config
+	for _, org := range batchOrgs() {
+		cfgs = append(cfgs, batchTestConfig("gcc", org))
+	}
 	sampled := batchTestConfig("gcc", batchOrgs()[0])
 	sampled.MeasureInsts = 60_000
 	sampled.Sample = &SampleSpec{IntervalInsts: 20_000, WindowInsts: 4_000, WarmupInsts: 1_000}
-	cfgs := []Config{batchTestConfig("li", batchOrgs()[1]), sampled}
+	live := batchTestConfig("li", batchOrgs()[0])
+	cfgs = append(cfgs, sampled, traceFor(t, t.TempDir(), live))
 
-	single, err := RunContext(ctx, sampled, opts)
-	if err != nil {
-		t.Fatalf("sampled single: %v", err)
-	}
-	results, errs := RunBatch(ctx, cfgs, opts)
-	if errs[0] != nil || errs[1] != nil {
-		t.Fatalf("errs = %v", errs)
-	}
-	if results[1].Sampled == nil {
-		t.Fatal("sampled lane lost its sampling summary")
-	}
-	if results[1].Cycles != single.Cycles || results[1].IPC != single.IPC || results[1].StreamHash != single.StreamHash {
-		t.Errorf("sampled lane diverges: batch %+v vs single %+v", results[1], single)
-	}
-	// A sampled lane in NewBatch directly is a configuration error.
 	b, err := NewBatch(ctx, cfgs, opts)
 	if err != nil {
-		t.Fatalf("NewBatch: %v", err)
+		t.Fatal(err)
 	}
 	defer b.Close()
+	if len(b.streams) != 1 || len(b.streams[0].lanes) != 3 {
+		t.Fatalf("%d shared streams, want one ring for the three exhaustive gcc lanes", len(b.streams))
+	}
+	for i := 3; i < len(cfgs); i++ {
+		if b.lanes[i].rd != nil {
+			t.Errorf("lane %d (%s) reads a shared ring, want its own source", i, labels[i])
+		}
+	}
 	for b.Step() {
 	}
-	_, lerrs := b.Results()
-	if !errors.Is(lerrs[1], ErrInvalidConfig) {
-		t.Errorf("direct NewBatch sampled lane: err = %v, want ErrInvalidConfig", lerrs[1])
+	results, errs := b.Results()
+	for i, label := range labels {
+		if errs[i] != nil {
+			t.Fatalf("lane %d (%s): %v", i, label, errs[i])
+		}
+		want := cfgs[i]
+		if i == len(cfgs)-1 {
+			want = live
+		}
+		requireGolden(t, label, want, results[i])
+	}
+	if results[3].Sampled == nil {
+		t.Error("sampled lane lost its sampling summary")
 	}
 }
 
 // TestBatchInvalidLaneIsolated: a broken config must fail its own lane
-// only; siblings still produce bit-identical results.
+// only; siblings still produce their golden results.
 func TestBatchInvalidLaneIsolated(t *testing.T) {
-	ctx := context.Background()
-	opts := RunOpts{Hash: true}
 	good := batchTestConfig("gcc", batchOrgs()[0])
 	bad := batchTestConfig("no-such-benchmark", batchOrgs()[0])
 	badMem := batchTestConfig("li", batchOrgs()[0])
 	badMem.Memory.L1.Bytes = 12345 // not a power-of-two geometry
+	badSample := good
+	badSample.Sample = &SampleSpec{IntervalInsts: 1_000}
 
-	results, errs := RunBatch(ctx, []Config{bad, good, badMem}, opts)
-	if !errors.Is(errs[0], ErrInvalidConfig) {
-		t.Errorf("bad benchmark lane: err = %v, want ErrInvalidConfig", errs[0])
-	}
-	if !errors.Is(errs[2], ErrInvalidConfig) {
-		t.Errorf("bad memory lane: err = %v, want ErrInvalidConfig", errs[2])
+	results, errs := RunBatch(context.Background(), []Config{bad, good, badMem, badSample}, RunOpts{Hash: true})
+	for _, i := range []int{0, 2, 3} {
+		if !errors.Is(errs[i], ErrInvalidConfig) {
+			t.Errorf("lane %d: err = %v, want ErrInvalidConfig", i, errs[i])
+		}
 	}
 	if errs[1] != nil {
 		t.Fatalf("good lane: %v", errs[1])
 	}
-	single, err := RunContext(ctx, good, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	requireIdentical(t, "survivor", single, results[1])
+	requireGolden(t, "batch/gcc/0", good, results[1])
 }
 
 // TestBatchCancelledContext: a cancelled caller context aborts every
@@ -285,21 +338,27 @@ func TestBatchEmpty(t *testing.T) {
 	}
 }
 
-// TestBatchRingGrowth forces ring growth by batching lanes whose
-// prewarm windows differ (distinct streams) alongside a very long
-// measured window, then checks identity still holds.
+// TestBatchRingGrowth forces many ring refills and compactions with a
+// long measured window on two lanes sharing one stream, then checks
+// both against runs that read their own source.
 func TestBatchRingGrowth(t *testing.T) {
 	opts := RunOpts{Hash: true}
 	ctx := context.Background()
-	cfg := batchTestConfig("database", batchOrgs()[0])
-	cfg.MeasureInsts = 120_000 // many ring refills and compactions
-	single, err := RunContext(ctx, cfg, opts)
-	if err != nil {
-		t.Fatal(err)
+	var cfgs []Config
+	for _, org := range batchOrgs()[:2] {
+		cfg := batchTestConfig("database", org)
+		cfg.MeasureInsts = 120_000
+		cfgs = append(cfgs, cfg)
 	}
-	results, errs := RunBatch(ctx, []Config{cfg}, opts)
-	if errs[0] != nil {
-		t.Fatal(errs[0])
+	results, errs := RunBatch(ctx, cfgs, opts)
+	for i, cfg := range cfgs {
+		if errs[i] != nil {
+			t.Fatal(errs[i])
+		}
+		single, err := RunContext(ctx, cfg, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireIdentical(t, "long", single, results[i])
 	}
-	requireIdentical(t, "long", single, results[0])
 }

@@ -22,8 +22,8 @@ const maxPrefixBytes = 16 << 20
 
 // PrewarmCache shares functional prewarm prefixes between runs of the
 // same synthetic stream. Every run of a (benchmark, seed) pair drains
-// the identical first PrewarmInsts instructions during fast-forward or
-// stream prewarm. The cache keeps that prefix's memory-reference
+// the identical first PrewarmInsts instructions during fast-forward
+// prewarm. The cache keeps that prefix's memory-reference
 // addresses and branch outcomes (delta-varint encoded, about 1.5 bytes
 // per instruction) and the generator state after it, so a later run
 // replays the references into its own hierarchy and predictor and
@@ -182,10 +182,8 @@ func (r *prefixRecorder) add(addrs, branches []uint64) {
 
 // warm runs the machine's functional prewarm through the cache: a miss
 // drains the generator exactly as fastForward does while recording the
-// prefix, a hit replays it. train selects predictor training, as in
-// fastForward; a prefix records branch outcomes either way, so stream-
-// and fast-forward-mode runs of one stream share it.
-func (c *PrewarmCache) warm(m *machine, train bool) (err error) {
+// prefix, a hit replays it.
+func (c *PrewarmCache) warm(m *machine) (err error) {
 	key := prefixKey{m.cfg.Benchmark, m.cfg.Seed, m.cfg.PrewarmInsts}
 	p, fill := c.acquire(key)
 	if fill {
@@ -200,7 +198,7 @@ func (c *PrewarmCache) warm(m *machine, train bool) (err error) {
 			}
 			c.publish(p, drained)
 		}()
-		err = m.fastForward(key.insts, train, rec)
+		err = m.fastForward(key.insts, rec)
 		drained = err == nil
 		return err
 	}
@@ -211,18 +209,17 @@ func (c *PrewarmCache) warm(m *machine, train bool) (err error) {
 	}
 	if !p.ok {
 		c.misses.Add(1)
-		return m.fastForward(key.insts, train, nil)
+		return m.fastForward(key.insts, nil)
 	}
 	c.hits.Add(1)
-	return m.replay(p, train)
+	return m.replay(p)
 }
 
 // replay applies a cached prefix to a fresh machine: every reference
-// into the hierarchy and, when train is set, every outcome into the
-// predictor, in drain order, then the generator state after the
-// prefix. It polls the stop flag once per runChunk entries, as the
-// cold drain does per chunk.
-func (m *machine) replay(p *prefix, train bool) error {
+// into the hierarchy and every outcome into the predictor, in drain
+// order, then the generator state after the prefix. It polls the stop
+// flag once per runChunk entries, as the cold drain does per chunk.
+func (m *machine) replay(p *prefix) error {
 	addrs := logReader{rest: p.addrs.chunks}
 	for i := 0; ; i++ {
 		a, ok := addrs.next()
@@ -234,19 +231,17 @@ func (m *machine) replay(p *prefix, train bool) error {
 		}
 		m.sys.WarmTouch(a)
 	}
-	if train {
-		pred := m.core.Predictor()
-		branches := logReader{rest: p.branches.chunks}
-		for i := 0; ; i++ {
-			b, ok := branches.next()
-			if !ok {
-				break
-			}
-			if i%runChunk == 0 && m.stop.Load() {
-				return m.abortErr()
-			}
-			pred.Warm(b>>1, b&1 == 1)
+	pred := m.core.Predictor()
+	branches := logReader{rest: p.branches.chunks}
+	for i := 0; ; i++ {
+		b, ok := branches.next()
+		if !ok {
+			break
 		}
+		if i%runChunk == 0 && m.stop.Load() {
+			return m.abortErr()
+		}
+		pred.Warm(b>>1, b&1 == 1)
 	}
 	if err := m.gen.ImportState(p.gen); err != nil {
 		return fmt.Errorf("sim: cached prewarm prefix: %w", err)

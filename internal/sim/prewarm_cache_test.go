@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -94,10 +93,10 @@ func prewarmCacheConfig(bench string, size int, ports mem.PortConfig, lb bool, m
 
 // TestPrewarmCacheHitBitIdentical pins the prefix cache's contract on
 // every workload: the filling run and every replaying run produce the
-// Result of a cold run — stream hash included, invariant checker on —
-// whichever prewarm mode filled the prefix and whichever replays it,
-// sampled runs included. Under -short or the race detector it covers
-// the representatives only.
+// golden Result of a cold run — stream hash included, invariant
+// checker on — whatever geometry filled the prefix and whichever
+// replays it, sampled runs included. Under -short or the race detector
+// it covers the representatives only.
 func TestPrewarmCacheHitBitIdentical(t *testing.T) {
 	opts := RunOpts{Check: true, Hash: true}
 	for _, bench := range metamorphicBenches(t) {
@@ -106,34 +105,25 @@ func TestPrewarmCacheHitBitIdentical(t *testing.T) {
 			cache := NewPrewarmCache()
 			shared := opts
 			shared.Prewarm = cache
-			// The stream-mode run fills the prefix without training the
-			// predictor; the fast-forward replays must still train it.
 			runs := []Config{
-				prewarmCacheConfig(bench, 16<<10, mem.PortConfig{Kind: mem.DuplicatePorts}, true, PrewarmStream),
-				prewarmCacheConfig(bench, 64<<10, mem.PortConfig{Kind: mem.BankedPorts, Count: 8}, false, PrewarmFastForward),
 				prewarmCacheConfig(bench, 16<<10, mem.PortConfig{Kind: mem.DuplicatePorts}, true, PrewarmFastForward),
-				prewarmCacheConfig(bench, 64<<10, mem.PortConfig{Kind: mem.BankedPorts, Count: 8}, false, PrewarmStream),
-				prewarmCacheConfig(bench, 32<<10, mem.PortConfig{Kind: mem.IdealPorts, Count: 2}, false, PrewarmFastForward),
+				prewarmCacheConfig(bench, 64<<10, mem.PortConfig{Kind: mem.BankedPorts, Count: 8}, false, PrewarmFastForward),
+				prewarmCacheConfig(bench, 32<<10, mem.PortConfig{Kind: mem.IdealPorts, Count: 2}, false, ""),
 			}
-			runs[4].Sample = &SampleSpec{IntervalInsts: 3_000, WindowInsts: 500, WarmupInsts: 500}
+			runs[2].Sample = &SampleSpec{IntervalInsts: 3_000, WindowInsts: 500, WarmupInsts: 500}
 			for i, cfg := range runs {
-				cold, err := RunContext(context.Background(), cfg, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
 				got, err := RunContext(context.Background(), cfg, shared)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if !reflect.DeepEqual(got, cold) {
-					t.Errorf("run %d (%s): cached-prefix result differs from cold run\ncached: %+v\ncold:   %+v", i, cfg.PrewarmMode, got, cold)
+				label := fmt.Sprintf("prewarm-cache/%s/%d", bench, i)
+				if cfg.Sample != nil {
+					label = "prewarm-cache/" + bench + "/sampled"
 				}
-				if cold.StreamHash == 0 {
-					t.Fatal("stream hash not recorded")
-				}
+				requireGolden(t, label, cfg, got)
 			}
-			if hits, misses := cache.Stats(); hits != 4 || misses != 1 {
-				t.Errorf("stats = %d hits, %d misses; want 4, 1", hits, misses)
+			if hits, misses := cache.Stats(); hits != 2 || misses != 1 {
+				t.Errorf("stats = %d hits, %d misses; want 2, 1", hits, misses)
 			}
 		})
 	}
@@ -269,13 +259,13 @@ func TestPrewarmCacheReplayAborts(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	stop := new(atomic.Bool)
-	m, err := newMachine(ctx, cfg.WithDefaults(), RunOpts{}, stop)
+	b, err := NewBatch(ctx, []Config{cfg}, RunOpts{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stop.Store(true)
-	if err := m.replay(p, true); !errors.Is(err, ErrAborted) {
+	b.Close() // the watcher has raised the lane's stop flag
+	m := b.lanes[0].m
+	if err := m.replay(p); !errors.Is(err, ErrAborted) {
 		t.Fatalf("stopped replay: err = %v, want ErrAborted", err)
 	}
 	if n := m.gen.Emitted(); n != 0 {

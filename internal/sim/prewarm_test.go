@@ -22,7 +22,7 @@ func prewarmConfig(bench string, mode PrewarmMode) Config {
 }
 
 func TestPrewarmModeValidation(t *testing.T) {
-	for _, mode := range []PrewarmMode{"", PrewarmFastForward, PrewarmStream, PrewarmTiming} {
+	for _, mode := range []PrewarmMode{"", PrewarmFastForward, PrewarmTiming} {
 		cfg := prewarmConfig("gcc", mode).WithDefaults()
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("mode %q: unexpected error: %v", mode, err)
@@ -43,8 +43,8 @@ func TestWithDefaultsResolvesPrewarmMode(t *testing.T) {
 	if cfg.PrewarmMode != PrewarmFastForward {
 		t.Fatalf("empty mode resolved to %q, want %q", cfg.PrewarmMode, PrewarmFastForward)
 	}
-	cfg = prewarmConfig("gcc", PrewarmStream).WithDefaults()
-	if cfg.PrewarmMode != PrewarmStream {
+	cfg = prewarmConfig("gcc", PrewarmTiming).WithDefaults()
+	if cfg.PrewarmMode != PrewarmTiming {
 		t.Fatalf("explicit mode overwritten: got %q", cfg.PrewarmMode)
 	}
 }
@@ -106,30 +106,5 @@ func TestFastForwardPrewarmFidelity(t *testing.T) {
 					ff.IPC, 100*delta, ref.IPC, 100*fidelityTolerance)
 			}
 		})
-	}
-}
-
-// TestStreamPrewarmLeavesPredictorCold distinguishes the modes: the
-// fast-forward drain trains the predictor during prewarm, so its
-// measured accuracy on a predictable workload is at least that of the
-// legacy stream mode, which starts the timed window cold.
-func TestStreamPrewarmLeavesPredictorCold(t *testing.T) {
-	ffCfg := prewarmConfig("gcc", PrewarmFastForward)
-	ffCfg.PrewarmInsts = 200_000
-	ffCfg.WarmupInsts = 5_000
-	ffCfg.MeasureInsts = 30_000
-	streamCfg := ffCfg
-	streamCfg.PrewarmMode = PrewarmStream
-	ff, err := Run(ffCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := Run(streamCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ff.BranchAccuracy < stream.BranchAccuracy {
-		t.Errorf("fast-forward accuracy %.4f below cold-predictor stream accuracy %.4f",
-			ff.BranchAccuracy, stream.BranchAccuracy)
 	}
 }

@@ -82,110 +82,142 @@ type windowSample struct {
 	cpuLds  uint64 // cpu loads (latency denominator)
 }
 
-// runSampled executes the sampled form of the measure phase: the
-// prewarm and global warmup run exactly as in an exhaustive run, then
-// each interval is fast-forwarded to its tail window. Estimates carry
-// an error bound in Result.Sampled; sampled runs never write snapshots
-// (the stream is discontinuous, so a checkpoint could not promise
-// exact resume).
-func (m *machine) runSampled() (Result, error) {
-	if err := m.prewarm(); err != nil {
-		return Result{}, err
-	}
-	m.phase, m.remaining = phaseWarmup, m.cfg.WarmupInsts
-	if err := m.runTimed(); err != nil {
-		return Result{}, err
-	}
-	m.captureBaselines()
-	m.core.ResetStats()
-	m.phase = phaseMeasure
+// maxPresizedWindows caps the window slice a sampler reserves up
+// front, so a pathological plan (a tiny interval over a huge measure
+// phase) cannot reserve memory it may never fill; plans under the cap
+// never grow the slice mid-run.
+const maxPresizedWindows = 4096
 
-	spec := *m.cfg.Sample
-	var windows []windowSample
-	var timedInsts, timedCycles uint64
-	idx := 0
-	for left := m.cfg.MeasureInsts; left > 0; idx++ {
-		interval := spec.IntervalInsts
-		if interval > left {
-			interval = left
-		}
-		left -= interval
-		wu, win := spec.WarmupInsts, spec.WindowInsts
-		var lead, tail uint64
-		if wu+win >= interval {
-			// Tail interval too small to skip anything: time all of it.
-			wu, win = 0, interval
-		} else {
-			// Stratify the window's position within its interval with the
-			// golden-ratio sequence: a fixed position (say, always the
-			// interval's tail) phase-locks onto the workloads' periodic
-			// kernel/user structure and biases every window toward the
-			// same phase. The low-discrepancy offsets decorrelate the
-			// samples from any periodicity while staying fully
-			// deterministic — same config, same windows, bit for bit.
-			slack := interval - wu - win
-			lead = uint64(offsetFrac(idx) * float64(slack))
-			if lead > slack {
-				lead = slack
-			}
-			tail = slack - lead
-		}
-		if lead > 0 {
-			if err := m.fastForward(lead, true, nil); err != nil {
-				return Result{}, err
-			}
-		}
-		timedStart := m.core.Stats()
-		m.remaining = wu
-		if err := m.runTimed(); err != nil {
-			return Result{}, err
-		}
-		s0 := m.core.Stats()
-		l0loads, l0lm, l0sm := m.sys.L1.Loads(), m.sys.L1.LoadMisses(), m.sys.L1.StoreMisses()
-		var l0lb uint64
-		if lb := m.sys.L1.LineBuffer(); lb != nil {
-			l0lb = lb.Hits()
-		}
-		m.remaining = win
-		if err := m.runTimed(); err != nil {
-			return Result{}, err
-		}
-		s1 := m.core.Stats()
-		w := windowSample{
-			weight:  float64(interval),
-			retired: s1.Retired - s0.Retired,
-			cycles:  s1.Cycles - s0.Cycles,
-			misses:  (m.sys.L1.LoadMisses() - l0lm) + (m.sys.L1.StoreMisses() - l0sm),
-			lbHits:  0,
-			loads:   m.sys.L1.Loads() - l0loads,
-			latSum:  s1.LoadLatencySum - s0.LoadLatencySum,
-			cpuLds:  s1.Loads - s0.Loads,
-		}
-		if lb := m.sys.L1.LineBuffer(); lb != nil {
-			w.lbHits = lb.Hits() - l0lb
-		}
-		timedInsts += s1.Retired - timedStart.Retired
-		timedCycles += s1.Cycles - timedStart.Cycles
-		if w.retired > 0 && w.cycles > 0 {
-			windows = append(windows, w)
-		}
-		if tail > 0 {
-			if err := m.fastForward(tail, true, nil); err != nil {
-				return Result{}, err
-			}
-		}
-	}
-	if len(windows) == 0 {
-		return Result{}, fmt.Errorf("%w: no sample window retired instructions", ErrInvalidConfig)
-	}
+// sampler is a sampled lane's position in its measure-phase schedule.
+// Each interval is fast-forwarded functionally up to its window, whose
+// position is stratified with the golden-ratio sequence; then the
+// pipeline re-warms for WarmupInsts on the timing model, a WindowInsts
+// window is timed, and the rest of the interval is fast-forwarded.
+// Sampled runs never write snapshots: the stream is discontinuous, so
+// a checkpoint could not promise exact resume.
+type sampler struct {
+	spec     SampleSpec
+	left     uint64 // measure-phase instructions not yet scheduled
+	idx      int    // intervals scheduled so far
+	interval uint64 // the current interval's instruction count
+	window   uint64 // its timed window, after the pipeline re-warm
+	tail     uint64 // its fast-forward after the window
+	inWindow bool
 
-	return m.sampledResult(windows, timedInsts, timedCycles), nil
+	// Counters at the start of the current interval's timed span and of
+	// its window.
+	timedStart, winStart                     cpu.Stats
+	l1Loads, l1LoadMiss, l1StoreMiss, lbHits uint64
+
+	windows                 []windowSample
+	timedInsts, timedCycles uint64
+}
+
+func newSampler(spec SampleSpec, measureInsts uint64) *sampler {
+	n := (measureInsts + spec.IntervalInsts - 1) / spec.IntervalInsts
+	if n > maxPresizedWindows {
+		n = maxPresizedWindows
+	}
+	return &sampler{spec: spec, left: measureInsts, windows: make([]windowSample, 0, n)}
+}
+
+// nextInterval schedules the next interval: its lead fast-forward runs
+// here, and the timed pipeline re-warm becomes the current phase's
+// remaining work. It reports true once every interval has been
+// measured.
+func (m *machine) nextInterval() (bool, error) {
+	s := m.smp
+	if s.left == 0 {
+		if len(s.windows) == 0 {
+			return false, fmt.Errorf("%w: no sample window retired instructions", ErrInvalidConfig)
+		}
+		return true, nil
+	}
+	interval := s.spec.IntervalInsts
+	if interval > s.left {
+		interval = s.left
+	}
+	s.left -= interval
+	wu, win := s.spec.WarmupInsts, s.spec.WindowInsts
+	var lead, tail uint64
+	if wu+win >= interval {
+		// Tail interval too small to skip anything: time all of it.
+		wu, win = 0, interval
+	} else {
+		// Stratify the window's position within its interval with the
+		// golden-ratio sequence: a fixed position (say, always the
+		// interval's tail) phase-locks onto the workloads' periodic
+		// kernel/user structure and biases every window toward the
+		// same phase. The low-discrepancy offsets decorrelate the
+		// samples from any periodicity while staying fully
+		// deterministic — same config, same windows, bit for bit.
+		slack := interval - wu - win
+		lead = uint64(offsetFrac(s.idx) * float64(slack))
+		if lead > slack {
+			lead = slack
+		}
+		tail = slack - lead
+	}
+	s.idx++
+	if lead > 0 {
+		if err := m.fastForward(lead, nil); err != nil {
+			return false, err
+		}
+	}
+	s.interval, s.window, s.tail, s.inWindow = interval, win, tail, false
+	s.timedStart = m.core.Stats()
+	m.remaining = wu
+	return false, nil
+}
+
+// sampleStep makes the transition at the end of a timed span of the
+// sampled measure phase: from the pipeline re-warm into the window, or
+// from the window — recording its measurements and fast-forwarding the
+// interval's tail — into the next interval.
+func (m *machine) sampleStep() (bool, error) {
+	s := m.smp
+	l1 := m.sys.L1
+	if !s.inWindow {
+		s.inWindow = true
+		s.winStart = m.core.Stats()
+		s.l1Loads, s.l1LoadMiss, s.l1StoreMiss, s.lbHits = l1.Loads(), l1.LoadMisses(), l1.StoreMisses(), 0
+		if lb := l1.LineBuffer(); lb != nil {
+			s.lbHits = lb.Hits()
+		}
+		m.remaining = s.window
+		return false, nil
+	}
+	s0, s1 := s.winStart, m.core.Stats()
+	w := windowSample{
+		weight:  float64(s.interval),
+		retired: s1.Retired - s0.Retired,
+		cycles:  s1.Cycles - s0.Cycles,
+		misses:  (l1.LoadMisses() - s.l1LoadMiss) + (l1.StoreMisses() - s.l1StoreMiss),
+		loads:   l1.Loads() - s.l1Loads,
+		latSum:  s1.LoadLatencySum - s0.LoadLatencySum,
+		cpuLds:  s1.Loads - s0.Loads,
+	}
+	if lb := l1.LineBuffer(); lb != nil {
+		w.lbHits = lb.Hits() - s.lbHits
+	}
+	s.timedInsts += s1.Retired - s.timedStart.Retired
+	s.timedCycles += s1.Cycles - s.timedStart.Cycles
+	if w.retired > 0 && w.cycles > 0 {
+		s.windows = append(s.windows, w)
+	}
+	if s.tail > 0 {
+		if err := m.fastForward(s.tail, nil); err != nil {
+			return false, err
+		}
+	}
+	return m.nextInterval()
 }
 
 // sampledResult recombines the window measurements into whole-run
 // estimates: each window's CPI and per-instruction rates stand in for
 // its entire interval, weighted by the interval's instruction count.
-func (m *machine) sampledResult(windows []windowSample, timedInsts, timedCycles uint64) Result {
+func (m *machine) sampledResult() Result {
+	windows, timedInsts, timedCycles := m.smp.windows, m.smp.timedInsts, m.smp.timedCycles
 	var totalWeight, estCycles, estMisses float64
 	var lbNum, lbDen, latNum, latDen float64
 	ipcs := make([]float64, len(windows))
@@ -260,28 +292,4 @@ func (m *machine) sampledResult(windows []windowSample, timedInsts, timedCycles 
 	}
 	res.Sampled = summary
 	return res
-}
-
-// statsDelta is a helper for tests comparing chunked stat windows.
-func statsDelta(a, b cpu.Stats) cpu.Stats {
-	d := cpu.Stats{
-		Cycles:             b.Cycles - a.Cycles,
-		Retired:            b.Retired - a.Retired,
-		Loads:              b.Loads - a.Loads,
-		Stores:             b.Stores - a.Stores,
-		Branches:           b.Branches - a.Branches,
-		Mispredicts:        b.Mispredicts - a.Mispredicts,
-		LoadLatencySum:     b.LoadLatencySum - a.LoadLatencySum,
-		LoadForwarded:      b.LoadForwarded - a.LoadForwarded,
-		WindowFull:         b.WindowFull - a.WindowFull,
-		LSQFull:            b.LSQFull - a.LSQFull,
-		StoreBufStalls:     b.StoreBufStalls - a.StoreBufStalls,
-		FetchBlocked:       b.FetchBlocked - a.FetchBlocked,
-		WindowOccupancySum: b.WindowOccupancySum - a.WindowOccupancySum,
-		LSQOccupancySum:    b.LSQOccupancySum - a.LSQOccupancySum,
-	}
-	for i := range d.IssuedHistogram {
-		d.IssuedHistogram[i] = b.IssuedHistogram[i] - a.IssuedHistogram[i]
-	}
-	return d
 }

@@ -106,10 +106,6 @@ const (
 	// steady-state caches and a trained predictor at a small fraction of
 	// the cost of timed prewarm.
 	PrewarmFastForward PrewarmMode = "fast-forward"
-	// PrewarmStream warms only the cache hierarchy, leaving the
-	// predictor cold — the behavior all results predating the knob were
-	// produced with, kept bit-identical for reproducibility.
-	PrewarmStream PrewarmMode = "stream"
 	// PrewarmTiming runs the full timing model through the prewarm
 	// window. Highest fidelity and by far the slowest; the reference the
 	// fast-forward tolerance is tested against.
@@ -118,7 +114,7 @@ const (
 
 func (m PrewarmMode) valid() bool {
 	switch m {
-	case "", PrewarmFastForward, PrewarmStream, PrewarmTiming:
+	case "", PrewarmFastForward, PrewarmTiming:
 		return true
 	}
 	return false
@@ -206,8 +202,8 @@ func (c Config) Validate() error {
 			ErrInvalidConfig, c.PrewarmInsts, c.WarmupInsts, c.MeasureInsts)
 	}
 	if !c.PrewarmMode.valid() {
-		return fmt.Errorf("%w: unknown prewarm mode %q (want %q, %q or %q)",
-			ErrInvalidConfig, c.PrewarmMode, PrewarmFastForward, PrewarmStream, PrewarmTiming)
+		return fmt.Errorf("%w: unknown prewarm mode %q (want %q or %q)",
+			ErrInvalidConfig, c.PrewarmMode, PrewarmFastForward, PrewarmTiming)
 	}
 	if err := c.Sample.validate(c.MeasureInsts); err != nil {
 		return err
@@ -252,6 +248,9 @@ type RunOpts struct {
 	// hot loop checker-free.
 	Hash bool
 
+	// The snapshot options below are one run's state: RunContext and
+	// a batch of one honor them, larger batches reject them.
+	//
 	// Resume restores machine state from the snapshot at this path and
 	// continues the run from there instead of starting cold. The
 	// snapshot must have been recorded for a compatible config: an
@@ -280,7 +279,8 @@ type RunOpts struct {
 	// fresh generator-backed run with other runs of the same stream
 	// through the cache (see PrewarmCache). Results are bit-identical
 	// either way; nil drains the prefix cold, the reference path.
-	// RunBatch ignores it: batch lanes already share one drain.
+	// Batch lanes that share a stream ring ignore it: they already
+	// share one drain.
 	Prewarm *PrewarmCache
 }
 
@@ -290,7 +290,28 @@ func Run(cfg Config) (Result, error) {
 	return RunContext(context.Background(), cfg, RunOpts{})
 }
 
-// Phase names recorded in snapshots.
+// RunContext executes one simulation under ctx: a batch of one, which
+// reads its stream straight from its source and is the only form that
+// honors the snapshot options. Cancellation is cooperative: the core
+// polls an abort flag every ~1k cycles and the prewarm loops check it
+// per chunk, so a cancelled or timed-out run releases its CPU within
+// microseconds instead of completing — the property that makes the
+// service's JobTimeout and client disconnects real. A run stopped by
+// ctx fails with ErrAborted; one stopped by its own RunOpts budget
+// fails with ErrBudget.
+func RunContext(ctx context.Context, cfg Config, opts RunOpts) (Result, error) {
+	b, err := NewBatch(ctx, []Config{cfg}, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	defer b.Close()
+	for b.Step() {
+	}
+	return b.lanes[0].res, b.lanes[0].err
+}
+
+// Phase names recorded in snapshots. A machine whose phase is still
+// empty has not been prewarmed.
 const (
 	phasePrewarm = "prewarm"
 	phaseWarmup  = "warmup"
@@ -304,22 +325,24 @@ const (
 // and compares) invisible next to the ~4k simulated cycles per chunk.
 const runChunk = 4096
 
-// machine is one assembled simulation mid-flight: the generator, the
-// hierarchy, the core, the optional checkers, and the phase cursor the
-// snapshot subsystem persists.
+// machine is one assembled simulation mid-flight: the stream source,
+// the hierarchy, the core, the optional checkers, and the phase cursor
+// the snapshot subsystem persists.
 type machine struct {
 	cfg  Config // resolved (WithDefaults applied)
 	opts RunOpts
 	ctx  context.Context // caller context, for abort classification
 
+	// gen is the machine's own source, or — on a lane reading a shared
+	// ring — the stream's master source, which runs ahead of the core.
 	gen    workload.Source
 	sys    *mem.System
 	core   *cpu.CPU
 	stream *check.Stream
 	inv    *check.Invariants
 	stop   *atomic.Bool
-	// done closes with the run's context (cancellation or wall
-	// budget); nil on batch lanes, which never wait on it.
+	// done closes with the batch's context (cancellation or wall
+	// budget), releasing a wait on another run's prewarm-cache fill.
 	done <-chan struct{}
 
 	// effMax is the absolute cycle cap on the core's monotonic clock:
@@ -329,6 +352,9 @@ type machine struct {
 
 	phase     string
 	remaining uint64 // instructions left in the current phase
+	resumed   bool
+	smp       *sampler  // the measure phase's interval schedule; nil when exhaustive
+	buf       *drainBuf // fastForward's scratch, allocated on first use
 
 	// Measure-phase baselines, captured at ResetStats time.
 	preLoads, preLoadMiss, preStoreMiss, preLB uint64
@@ -336,31 +362,14 @@ type machine struct {
 	snapSaved bool
 }
 
-// newMachine builds the simulation for a resolved config. Constructor
-// failures wrap ErrInvalidConfig.
-func newMachine(ctx context.Context, cfg Config, opts RunOpts, stop *atomic.Bool) (*machine, error) {
-	gen, err := cfg.newSource()
-	if err != nil {
-		return nil, err
-	}
-	sys, err := mem.NewSystem(cfg.Memory)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
-	}
-	core, err := cpu.New(cfg.CPU, gen, sys.L1)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
-	}
-	return assembleMachine(ctx, cfg, opts, stop, gen, sys, core), nil
-}
-
 // assembleMachine wires an already-constructed stream source,
 // hierarchy, and core into a machine with the configured checkers
-// installed. The batch kernel uses it directly: its lanes read a shared
-// stream ring instead of owning the source, so construction and
-// assembly are separate steps.
+// installed.
 func assembleMachine(ctx context.Context, cfg Config, opts RunOpts, stop *atomic.Bool, gen workload.Source, sys *mem.System, core *cpu.CPU) *machine {
 	m := &machine{cfg: cfg, opts: opts, ctx: ctx, gen: gen, sys: sys, core: core, stop: stop, effMax: opts.MaxCycles}
+	if cfg.Sample != nil {
+		m.smp = newSampler(*cfg.Sample, cfg.MeasureInsts)
+	}
 	var checkers []cpu.Checker
 	if opts.Hash {
 		m.stream = check.NewStream()
@@ -412,7 +421,7 @@ func (m *machine) checkErr() error {
 // estimates over a discontinuous stream and are not resumable.
 func (m *machine) abort() error {
 	err := m.abortErr()
-	if m.opts.SnapshotOnAbort != "" && m.cfg.Sample == nil && !errors.Is(err, ErrCheckFailed) {
+	if m.opts.SnapshotOnAbort != "" && m.smp == nil && !errors.Is(err, ErrCheckFailed) {
 		// A failed save costs only the resumability of this attempt;
 		// the abort itself is the caller's signal either way.
 		_ = m.saveSnapshot(m.opts.SnapshotOnAbort, m.phase, m.remaining)
@@ -420,25 +429,9 @@ func (m *machine) abort() error {
 	return err
 }
 
-// runTimed advances the timing model through the current phase's
-// remaining instructions in runChunk pieces, polling for aborts, the
-// checker, and the mid-run snapshot trigger at every boundary.
-func (m *machine) runTimed() error {
-	for {
-		done, err := m.runTimedChunk()
-		if err != nil {
-			return err
-		}
-		if done {
-			return nil
-		}
-	}
-}
-
 // runTimedChunk advances the current phase by at most one runChunk,
-// reporting whether the phase is finished. It is the resumable unit
-// the batch kernel interleaves across lanes; runTimed is a loop over
-// it, so chunked and straight-through execution are bit-identical.
+// reporting whether the phase is finished. Stepping a phase chunk by
+// chunk is bit-identical to running it straight through.
 func (m *machine) runTimedChunk() (bool, error) {
 	if m.remaining == 0 || m.core.Done() {
 		return true, nil
@@ -475,7 +468,47 @@ func (m *machine) runTimedChunk() (bool, error) {
 
 func (m *machine) wantSnapshotAt() bool {
 	return m.opts.SnapshotPath != "" && m.opts.SnapshotAt > 0 && !m.snapSaved &&
-		m.cfg.Sample == nil && uint64(m.core.Now()) >= m.opts.SnapshotAt
+		m.smp == nil && uint64(m.core.Now()) >= m.opts.SnapshotAt
+}
+
+// step is the simulation's only phase driver: it advances the machine
+// by at most one runChunk of timed work and makes the phase
+// transitions — timed prewarm to warmup, warmup to measure, and the
+// sampled measure phase's interval schedule. It reports whether the
+// run has finished; Result then holds its measurements.
+func (m *machine) step() (bool, error) {
+	done, err := m.runTimedChunk()
+	if err != nil || !done {
+		return false, err
+	}
+	switch m.phase {
+	case phasePrewarm:
+		return false, m.enterWarmup()
+	case phaseWarmup:
+		m.captureBaselines()
+		m.core.ResetStats()
+		m.phase, m.remaining = phaseMeasure, m.cfg.MeasureInsts
+		if m.smp != nil {
+			return m.nextInterval()
+		}
+		return false, nil
+	}
+	if m.smp != nil {
+		return m.sampleStep()
+	}
+	return true, nil
+}
+
+// enterWarmup starts the warmup phase at the end of prewarm, writing
+// the prewarm-boundary snapshot a fresh run was asked for. Remaining 0
+// marks that boundary: a resumer runs its own full warmup, so any
+// config sharing the prewarm projection can pick the snapshot up.
+func (m *machine) enterWarmup() error {
+	m.phase, m.remaining = phaseWarmup, m.cfg.WarmupInsts
+	if m.opts.SnapshotPrewarm != "" && !m.resumed {
+		return m.saveSnapshot(m.opts.SnapshotPrewarm, phaseWarmup, 0)
+	}
+	return nil
 }
 
 // sweep walks every workload region through the tag arrays so anything
@@ -492,47 +525,76 @@ func (m *machine) sweep() error {
 	return nil
 }
 
-// prewarm brings a fresh machine to the start of its warmup phase: the
-// region sweep, then the prewarm window, timed or functional. The
-// functional forms go through RunOpts.Prewarm when one is set and the
-// stream is synthetic.
+// prewarm brings a fresh machine that reads its own source to steady
+// state, standing in for the paper's >100M-instruction runs: the
+// region sweep, then the prewarm window — functional (through
+// RunOpts.Prewarm when one is set and the stream is synthetic), or
+// timed, in which case step runs it. The same, already-advanced source
+// then feeds the core: the measured window must not re-walk stream
+// prefixes the timing model never fetched.
 func (m *machine) prewarm() error {
 	if err := m.sweep(); err != nil {
 		return err
 	}
 	if m.cfg.PrewarmMode == PrewarmTiming {
 		m.phase, m.remaining = phasePrewarm, m.cfg.PrewarmInsts
-		return m.runTimed()
+		return nil
 	}
-	train := m.cfg.PrewarmMode != PrewarmStream
+	var err error
 	if m.opts.Prewarm != nil && m.cfg.Trace == nil {
-		return m.opts.Prewarm.warm(m, train)
+		err = m.opts.Prewarm.warm(m)
+	} else {
+		err = m.fastForward(m.cfg.PrewarmInsts, nil)
 	}
-	return m.fastForward(m.cfg.PrewarmInsts, train, nil)
+	if err != nil {
+		return err
+	}
+	return m.enterWarmup()
 }
 
-// fastForward drains insts instructions from the generator functionally
-// — warming the hierarchy with every memory reference and, when train
-// is set, the predictor with every branch outcome — without running the
-// pipeline, and hands each chunk's references to rec when it is set.
-// Chunked so the generator's batch loop stays call-free.
-func (m *machine) fastForward(insts uint64, train bool, rec *prefixRecorder) error {
-	pred := m.core.Predictor()
-	var addrs, branches [4096]uint64
+// fastForward drains insts instructions of the machine's own source
+// into its hierarchy and predictor, handing each chunk's references to
+// rec when it is set.
+func (m *machine) fastForward(insts uint64, rec *prefixRecorder) error {
+	if m.buf == nil {
+		m.buf = new(drainBuf)
+	}
+	if !drain(m.gen, insts, []*mem.System{m.sys}, []*cpu.Predictor{m.core.Predictor()}, m.stop, rec, m.buf) {
+		return m.abortErr()
+	}
+	return nil
+}
+
+// drainBuf is drain's scratch: one chunk of memory references and
+// branch outcomes. A machine keeps its own, so a sampled run's
+// per-interval fast-forwards reuse it instead of allocating.
+type drainBuf struct {
+	addrs, branches [warmChunk]uint64
+}
+
+// drain consumes insts instructions of gen functionally, in warmChunk
+// pieces, without running any pipeline: every memory reference warms
+// each of systems, every branch outcome trains each of preds, and rec,
+// when set, records both. Chunked so the generator's batch loop stays
+// call-free. It reports false, having stopped early, once stop is set.
+func drain(gen workload.Source, insts uint64, systems []*mem.System, preds []*cpu.Predictor, stop *atomic.Bool, rec *prefixRecorder, buf *drainBuf) bool {
+	addrs, branches := buf.addrs[:], buf.branches[:]
 	for left := insts; left > 0; {
-		if m.stop.Load() {
-			return m.abortErr()
+		if stop.Load() {
+			return false
 		}
 		chunk := len(addrs)
 		if uint64(chunk) > left {
 			chunk = int(left)
 		}
 		left -= uint64(chunk)
-		na, nb := m.gen.Warm(chunk, addrs[:], branches[:])
-		for _, a := range addrs[:na] {
-			m.sys.WarmTouch(a)
+		na, nb := gen.Warm(chunk, addrs, branches)
+		for _, sys := range systems {
+			for _, a := range addrs[:na] {
+				sys.WarmTouch(a)
+			}
 		}
-		if train {
+		for _, pred := range preds {
 			for _, b := range branches[:nb] {
 				pred.Warm(b>>1, b&1 == 1)
 			}
@@ -541,7 +603,7 @@ func (m *machine) fastForward(insts uint64, train bool, rec *prefixRecorder) err
 			rec.add(addrs[:na], branches[:nb])
 		}
 	}
-	return nil
+	return true
 }
 
 // captureBaselines records the hierarchy counters at the start of the
@@ -556,9 +618,14 @@ func (m *machine) captureBaselines() {
 	}
 }
 
-// result assembles the measured window's Result from the cumulative
-// stats since ResetStats and the baselines.
-func (m *machine) result(s cpu.Stats) Result {
+// result assembles a finished run's Result: the measured window's
+// cumulative stats since ResetStats against the baselines, or the
+// sampled estimates.
+func (m *machine) result() Result {
+	if m.smp != nil {
+		return m.sampledResult()
+	}
+	s := m.core.Stats()
 	res := Result{
 		Benchmark:       m.cfg.Benchmark,
 		Cycles:          s.Cycles,
@@ -582,128 +649,6 @@ func (m *machine) result(s cpu.Stats) Result {
 		res.StreamHash = m.stream.Hash()
 	}
 	return res
-}
-
-// run executes the exhaustive (non-sampled) simulation: from cold when
-// resumed is false, from the already-restored phase cursor otherwise.
-func (m *machine) run(resumed bool) (Result, error) {
-	if !resumed {
-		// Pre-warm to steady state, standing in for the paper's
-		// >100M-instruction runs: first the region sweep, then the
-		// generator's own prefix replays to restore hot-set recency,
-		// and the same, already-advanced generator feeds the core — the
-		// measured window must not re-walk stream prefixes the timing
-		// model never fetched.
-		if err := m.prewarm(); err != nil {
-			return Result{}, err
-		}
-		m.phase, m.remaining = phaseWarmup, m.cfg.WarmupInsts
-		if m.opts.SnapshotPrewarm != "" {
-			// Remaining 0 marks the prewarm boundary: a resumer runs its
-			// own full warmup, so any config sharing the prewarm
-			// projection can pick this snapshot up.
-			if err := m.saveSnapshot(m.opts.SnapshotPrewarm, phaseWarmup, 0); err != nil {
-				return Result{}, err
-			}
-		}
-	}
-
-	if m.phase == phasePrewarm {
-		if err := m.runTimed(); err != nil {
-			return Result{}, err
-		}
-		m.phase, m.remaining = phaseWarmup, m.cfg.WarmupInsts
-	}
-	if m.phase == phaseWarmup {
-		if m.remaining == 0 {
-			m.remaining = m.cfg.WarmupInsts
-		}
-		if err := m.runTimed(); err != nil {
-			return Result{}, err
-		}
-		m.captureBaselines()
-		m.core.ResetStats()
-		m.phase, m.remaining = phaseMeasure, m.cfg.MeasureInsts
-	}
-	if m.remaining == 0 {
-		m.remaining = m.cfg.MeasureInsts
-	}
-	if err := m.runTimed(); err != nil {
-		return Result{}, err
-	}
-	return m.result(m.core.Stats()), nil
-}
-
-// RunContext executes one simulation under ctx. Cancellation is
-// cooperative: the core polls an abort flag every ~1k cycles and the
-// prewarm loops check it per chunk, so a cancelled or timed-out run
-// releases its CPU within microseconds instead of completing — the
-// property that makes the service's JobTimeout and client disconnects
-// real. A run stopped by ctx fails with ErrAborted; one stopped by its
-// own RunOpts budget fails with ErrBudget.
-func RunContext(ctx context.Context, cfg Config, opts RunOpts) (Result, error) {
-	// The wall budget is installed before anything else so even the
-	// fault site (where chaos tests park hangs) is bounded by it.
-	rctx, cancel := context.WithCancel(ctx)
-	if opts.Timeout > 0 {
-		rctx, cancel = context.WithTimeout(ctx, opts.Timeout)
-	}
-	defer cancel()
-	if err := opts.Faults.Fire(rctx, fault.SiteSimRun); err != nil {
-		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-			if ctx.Err() != nil {
-				return Result{}, fmt.Errorf("%w: %v", ErrAborted, err)
-			}
-			return Result{}, fmt.Errorf("%w: wall budget of %v exhausted", ErrBudget, opts.Timeout)
-		}
-		return Result{}, err
-	}
-	cfg = cfg.WithDefaults()
-	if err := cfg.Sample.validate(cfg.MeasureInsts); err != nil {
-		return Result{}, err
-	}
-	if cfg.Sample != nil && opts.Resume != "" {
-		return Result{}, fmt.Errorf("%w: sampled runs cannot resume from a snapshot", ErrInvalidConfig)
-	}
-
-	stop := new(atomic.Bool)
-	m, err := newMachine(ctx, cfg, opts, stop)
-	if err != nil {
-		return Result{}, err
-	}
-	m.done = rctx.Done()
-
-	resumed := false
-	if opts.Resume != "" {
-		st, err := ReadSnapshot(opts.Resume, opts.Faults)
-		if err != nil {
-			return Result{}, fmt.Errorf("%w: %v", ErrSnapshot, err)
-		}
-		if err := m.restore(st); err != nil {
-			return Result{}, fmt.Errorf("%w: %v", ErrSnapshot, err)
-		}
-		resumed = true
-	}
-
-	// One watcher goroutine folds ctx cancellation and the wall budget
-	// into a single atomic flag the hot loops can poll for free. It is
-	// reaped before RunContext returns, so runs never leak goroutines.
-	watcherDone := make(chan struct{})
-	go func() {
-		defer close(watcherDone)
-		<-rctx.Done()
-		stop.Store(true)
-	}()
-	defer func() {
-		cancel()
-		<-watcherDone
-	}()
-	m.core.SetBudget(stop, m.effMax)
-
-	if cfg.Sample != nil {
-		return m.runSampled()
-	}
-	return m.run(resumed)
 }
 
 // ScaledSRAMSystem builds the SRAM memory system for a processor with

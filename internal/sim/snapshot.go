@@ -113,6 +113,19 @@ func (st *MachineState) Restore() (*cpu.CPU, *mem.System, workload.Source, error
 	return core, sys, gen, nil
 }
 
+// resume restores a fresh machine from the snapshot at path.
+func (m *machine) resume(path string) error {
+	st, err := ReadSnapshot(path, m.opts.Faults)
+	if err == nil {
+		err = m.restore(st)
+	}
+	if err != nil {
+		return fmt.Errorf("%w: %v", ErrSnapshot, err)
+	}
+	m.resumed = true
+	return nil
+}
+
 // canonicalJSON is the config-identity encoding used to decide whether
 // a snapshot belongs to this run's config.
 func canonicalJSON(cfg Config) ([]byte, error) {
@@ -164,6 +177,16 @@ func (m *machine) restore(st *MachineState) error {
 	}
 	m.phase = st.Phase
 	m.remaining = st.Remaining
+	if m.remaining == 0 {
+		// A phase-start cursor — (warmup, 0) is the prewarm boundary —
+		// runs the whole phase.
+		switch m.phase {
+		case phaseWarmup:
+			m.remaining = m.cfg.WarmupInsts
+		case phaseMeasure:
+			m.remaining = m.cfg.MeasureInsts
+		}
+	}
 	m.preLoads = st.PreLoads
 	m.preLoadMiss = st.PreLoadMiss
 	m.preStoreMiss = st.PreStoreMiss
