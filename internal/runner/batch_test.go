@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"os"
+	"reflect"
 	"testing"
 
 	"hbcache/internal/cpu"
@@ -44,9 +45,11 @@ func realConfigs(n int) []sim.Config {
 // TestBatchedRunMatchesSingle pins the batched scheduling path's
 // contract: identical results, in submission order, as the per-run
 // path — at several batch sizes, including batches that do not divide
-// the job count.
+// the job count, and with a sampled config stepping among the lanes.
 func TestBatchedRunMatchesSingle(t *testing.T) {
-	cfgs := realConfigs(10)
+	sampled := realConfig(0)
+	sampled.Sample = &sim.SampleSpec{IntervalInsts: 3_000, WindowInsts: 500, WarmupInsts: 500}
+	cfgs := append(realConfigs(10), sampled)
 	single, err := New(Options{Workers: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -71,7 +74,7 @@ func TestBatchedRunMatchesSingle(t *testing.T) {
 			if got[i].Err != nil {
 				t.Fatalf("batch=%d job %d: %v", batch, i, got[i].Err)
 			}
-			if got[i].Result != want[i].Result {
+			if !reflect.DeepEqual(got[i].Result, want[i].Result) {
 				t.Errorf("batch=%d job %d: result diverges from per-run path:\nbatched: %+v\nsingle:  %+v",
 					batch, i, got[i].Result, want[i].Result)
 			}
