@@ -96,38 +96,34 @@ func TestTraceReplayAcrossPrewarmModes(t *testing.T) {
 }
 
 // TestTraceReplayBatchLanes pins the batch kernel on traces: lanes
-// sharing one trace-backed stream ring must match their single-run
-// replays (and therefore the live runs) bit-identically, mixed freely
-// with synthetic lanes in the same batch.
+// sharing one trace-backed stream ring must reproduce the live runs'
+// golden results bit-identically, mixed freely with synthetic lanes in
+// the same batch.
 func TestTraceReplayBatchLanes(t *testing.T) {
 	dir := t.TempDir()
 	base := resumeConfig("li", mem.PortConfig{Kind: mem.IdealPorts, Count: 2}, false)
 	traced := traceFor(t, dir, base)
 
-	var cfgs []Config
+	var cfgs, live []Config
+	var labels []string
 	for _, org := range resumeOrgs {
 		cfg := traced
 		cfg.Memory = mem.DefaultSRAMSystem(32<<10, 1, org.ports, org.lb)
 		cfgs = append(cfgs, cfg)
+		live = append(live, resumeConfig("li", org.ports, org.lb))
+		labels = append(labels, "resume/"+org.name+"/li")
 	}
 	// A synthetic lane of a different benchmark rides along: stream
 	// grouping must keep trace-backed and live lanes apart.
-	cfgs = append(cfgs, resumeConfig("compress", mem.PortConfig{Kind: mem.IdealPorts, Count: 2}, false))
+	compress := resumeConfig("compress", mem.PortConfig{Kind: mem.IdealPorts, Count: 2}, false)
+	cfgs, live, labels = append(cfgs, compress), append(live, compress), append(labels, "resume/ideal/compress")
 
 	batchRes, batchErrs := RunBatch(context.Background(), cfgs, RunOpts{Hash: true})
 	for i, err := range batchErrs {
 		if err != nil {
 			t.Fatalf("lane %d: %v", i, err)
 		}
-	}
-	for i, cfg := range cfgs {
-		single, err := RunContext(context.Background(), cfg, RunOpts{Hash: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(single, batchRes[i]) {
-			t.Fatalf("lane %d: batch diverged from single run:\nsingle: %+v\nbatch:  %+v", i, single, batchRes[i])
-		}
+		requireGolden(t, labels[i], live[i], batchRes[i])
 	}
 }
 
