@@ -22,20 +22,24 @@ test:
 
 # The runner, simulator, HTTP service, and server binary are the
 # concurrency-sensitive packages; run them under the race detector in
-# addition to the plain suite. The explicit -timeout covers the sim
-# package, whose full suite under the race detector outgrew go test's
-# default 10 minutes on small (1-2 core) machines.
+# addition to the plain suite, with the shared retry primitives (the
+# breaker's half-open probe races) and durable-file helpers they use.
+# The explicit -timeout covers the sim package, whose full suite under
+# the race detector outgrew go test's default 10 minutes on small (1-2
+# core) machines.
 race:
-	$(GO) test -race -timeout 30m ./internal/fault ./internal/runner ./internal/sim ./internal/service ./internal/cluster ./cmd/hbserved
+	$(GO) test -race -timeout 30m ./internal/fault ./internal/retry ./internal/durable ./internal/runner ./internal/sim ./internal/service ./internal/cluster ./cmd/hbserved
 
 # Fault-injection suite under the race detector: every fault kind fired
 # into the runner, service, and cluster fabric (journal write/read
 # corruption, dropped heartbeats), asserting bounded recovery (workers
 # freed, breaker cycles, partial results well-formed, caches and journal
-# lines quarantined). -count=1 defeats the test cache so the chaos runs
-# are always live.
+# lines quarantined), plus the durability contract over every on-disk
+# artefact kind (bit flips, torn tails, leftover temp files, a torn
+# journal line). -count=1 defeats the test cache so the chaos runs are
+# always live.
 chaos:
-	$(GO) test -race -count=1 -run 'Chaos|CrashSafety' ./internal/runner ./internal/service ./internal/cluster
+	$(GO) test -race -count=1 -run 'Chaos|CrashSafety' ./internal/durable ./internal/runner ./internal/service ./internal/cluster
 
 # Distributed-sweep smoke test: builds the server binary, spawns real
 # coordinator and worker processes, and drives every crash drill —

@@ -50,6 +50,7 @@ import (
 
 	"hbcache/internal/cluster"
 	"hbcache/internal/fault"
+	"hbcache/internal/retry"
 	"hbcache/internal/runner"
 	"hbcache/internal/service"
 	"hbcache/internal/sim"
@@ -108,18 +109,6 @@ func clusterStatus(coord *cluster.Coordinator, minWorkers int, journalReplays in
 	return cs
 }
 
-// sleepCtx waits d, reporting false if ctx ended first.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
 // advertiseURL derives the base URL a worker registers under: the
 // -advertise override when set, else the bound listen address with
 // unspecified hosts (":8081", "[::]:8081") rewritten to loopback —
@@ -153,7 +142,7 @@ func membershipLoop(ctx context.Context, cl *cluster.Client, selfURL string, std
 			if err == nil {
 				return ttl, true
 			}
-			if !sleepCtx(ctx, time.Second) {
+			if !retry.Sleep(ctx, time.Second) {
 				return 0, false
 			}
 		}
@@ -168,7 +157,7 @@ func membershipLoop(ctx context.Context, cl *cluster.Client, selfURL string, std
 		if interval <= 0 {
 			interval = 5 * time.Second
 		}
-		if !sleepCtx(ctx, interval) {
+		if !retry.Sleep(ctx, interval) {
 			return
 		}
 		hctx, cancel := context.WithTimeout(ctx, 5*time.Second)
@@ -198,7 +187,7 @@ func restoreSweeps(ctx context.Context, svc *service.Service, sweeps []cluster.J
 				break
 			}
 			if errors.Is(err, service.ErrQueueFull) || errors.Is(err, service.ErrBreakerOpen) {
-				if !sleepCtx(ctx, 250*time.Millisecond) {
+				if !retry.Sleep(ctx, 250*time.Millisecond) {
 					return
 				}
 				continue

@@ -25,6 +25,7 @@ import (
 	"strings"
 
 	"hbcache/internal/cpu"
+	"hbcache/internal/durable"
 	"hbcache/internal/mem"
 	"hbcache/internal/sim"
 	"hbcache/internal/workload"
@@ -55,7 +56,7 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if err := workload.WriteTraceFile(*record, data); err != nil {
+		if err := durable.WriteFile(*record, data); err != nil {
 			fatal(err)
 		}
 		tr, err := workload.OpenTraceFile(*record)

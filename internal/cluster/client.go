@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"hbcache/internal/retry"
 	"hbcache/internal/service"
 	"hbcache/internal/sim"
 )
@@ -93,21 +94,6 @@ func retryAfter(resp *http.Response, cap time.Duration) time.Duration {
 	return d
 }
 
-// sleep waits d or until ctx is cancelled, reporting false on cancel.
-func sleep(ctx context.Context, d time.Duration) bool {
-	if d <= 0 {
-		return ctx.Err() == nil
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
 // doJSON performs one request with 429/503 Retry-After discipline and
 // decodes a 2xx response into out (when non-nil). Non-retryable error
 // statuses surface as errors carrying the server's body.
@@ -143,7 +129,7 @@ func (c *Client) doJSON(ctx context.Context, method, path string, body, out any)
 			if attempt >= c.maxRetries {
 				return fmt.Errorf("cluster: %s %s: HTTP %d after %d attempts", method, path, resp.StatusCode, attempt+1)
 			}
-			if !sleep(ctx, d) {
+			if !retry.Sleep(ctx, d) {
 				return ctx.Err()
 			}
 			continue
@@ -264,7 +250,7 @@ func (c *Client) pollJob(ctx context.Context, id string) (service.JobView, error
 		if view.State.Terminal() {
 			return view, nil
 		}
-		if !sleep(ctx, 25*time.Millisecond) {
+		if !retry.Sleep(ctx, 25*time.Millisecond) {
 			return service.JobView{}, ctx.Err()
 		}
 	}

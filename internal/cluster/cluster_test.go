@@ -11,6 +11,7 @@ import (
 
 	"hbcache/internal/cpu"
 	"hbcache/internal/mem"
+	"hbcache/internal/retry"
 	"hbcache/internal/runner"
 	"hbcache/internal/service"
 	"hbcache/internal/sim"
@@ -296,7 +297,7 @@ func TestDeadWorkerReassignment(t *testing.T) {
 // still completes with every point accounted for.
 func TestWorkerKilledMidSweep(t *testing.T) {
 	slow := func(ctx context.Context, cfg sim.Config) (sim.Result, error) {
-		if !sleepCtx(ctx, 5*time.Millisecond) {
+		if !retry.Sleep(ctx, 5*time.Millisecond) {
 			return sim.Result{}, ctx.Err()
 		}
 		return stubSim(ctx, cfg)
@@ -343,18 +344,6 @@ func TestWorkerKilledMidSweep(t *testing.T) {
 		if jr.Err == nil && jr.Result.Cycles != want.Cycles {
 			t.Errorf("point %d cycles = %d, want %d", i, jr.Result.Cycles, want.Cycles)
 		}
-	}
-}
-
-// sleepCtx sleeps d honoring ctx; reports false on cancellation.
-func sleepCtx(ctx context.Context, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
 	}
 }
 

@@ -16,9 +16,10 @@
 //     on a second worker; the first terminal result wins. Stragglers
 //     cost one duplicate simulation instead of the sweep's tail latency.
 //   - Fault routing: every dispatch goes through a per-worker circuit
-//     breaker and exponential backoff (the PR 4 machinery applied
-//     fleet-wide). A dead worker's points reassign to its peers; the
-//     worker rejoins via a half-open probe when it recovers.
+//     breaker and exponential backoff (internal/retry, the primitives
+//     the service and runner use too). A dead worker's points reassign
+//     to its peers; the worker rejoins via a half-open probe when it
+//     recovers.
 //
 // The fleet itself is dynamic: Options.Workers seeds it, but workers
 // also self-register over HTTP and keep their membership alive with
@@ -40,7 +41,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"net/http"
 	"sort"
 	"sync"
@@ -48,6 +48,7 @@ import (
 	"time"
 
 	"hbcache/internal/fault"
+	"hbcache/internal/retry"
 	"hbcache/internal/runner"
 	"hbcache/internal/service"
 	"hbcache/internal/sim"
@@ -159,7 +160,7 @@ var ErrNoWorkers = errors.New("cluster: no dispatchable workers (fleet empty or 
 // hot-path accounting never contends with membership changes.
 type worker struct {
 	client *Client
-	br     *breaker
+	br     *retry.Breaker
 
 	// permanent marks a seed worker from Options.Workers: it never
 	// lease-expires, though it may still register and heartbeat.
@@ -278,7 +279,7 @@ func (c *Coordinator) addWorkerLocked(url string, permanent bool) *worker {
 	ctx, cancel := context.WithCancel(context.Background())
 	w := &worker{
 		client:    NewClient(url, c.opts.HTTP),
-		br:        newBreaker(c.opts.BreakerThreshold, c.opts.BreakerCooldown),
+		br:        retry.NewBreaker(c.opts.BreakerThreshold, c.opts.BreakerCooldown),
 		permanent: permanent,
 		ctx:       ctx,
 		cancel:    cancel,
@@ -314,7 +315,7 @@ func (c *Coordinator) Register(url string) (isNew bool, ttl time.Duration) {
 		w.expired = false
 		w.draining = false
 		w.ctx, w.cancel = context.WithCancel(context.Background())
-		w.br = newBreaker(c.opts.BreakerThreshold, c.opts.BreakerCooldown)
+		w.br = retry.NewBreaker(c.opts.BreakerThreshold, c.opts.BreakerCooldown)
 		isNew = true
 	}
 	w.registered = true
@@ -425,7 +426,7 @@ func (c *Coordinator) Health() []WorkerHealth {
 	defer c.fleetMu.RUnlock()
 	out := make([]WorkerHealth, len(c.workers))
 	for i, w := range c.workers {
-		state, opens := w.br.snapshot()
+		state, opens := w.br.State()
 		ms := "active"
 		switch {
 		case w.draining:
@@ -440,7 +441,7 @@ func (c *Coordinator) Health() []WorkerHealth {
 		w.mu.Lock()
 		out[i] = WorkerHealth{
 			URL:          w.client.URL(),
-			Healthy:      w.dispatchableLocked() && state != breakerOpen,
+			Healthy:      w.dispatchableLocked() && state != retry.Open,
 			State:        ms,
 			Permanent:    w.permanent,
 			Registered:   w.registered,
@@ -467,7 +468,7 @@ func (c *Coordinator) FleetStats() Stats {
 		if !w.dispatchableLocked() {
 			continue
 		}
-		if brState, _ := w.br.snapshot(); brState == breakerOpen {
+		if brState, _ := w.br.State(); brState == retry.Open {
 			continue
 		}
 		st.Live++
@@ -572,10 +573,10 @@ func (c *Coordinator) pick(preferred, avoid *worker) *worker {
 	if avoided != nil {
 		order = append(order, avoided)
 	}
-	// allow() is side-effectful (a half-open breaker admits exactly one
+	// Allow() is side-effectful (a half-open breaker admits exactly one
 	// probe), so it is asked only about the worker actually chosen.
 	for _, w := range order {
-		if w.br.allow() {
+		if w.br.Allow() {
 			return w
 		}
 	}
@@ -688,13 +689,13 @@ func (c *Coordinator) attemptChain(ctx context.Context, cfg sim.Config, preferre
 			if len(c.snapshotFleet()) == 0 && time.Since(start) < c.opts.JoinGrace {
 				// Nothing to dispatch to yet; wait for a registration
 				// without consuming retry budget.
-				if !sleep(ctx, 50*time.Millisecond) {
+				if !retry.Sleep(ctx, 50*time.Millisecond) {
 					break
 				}
 				attempt--
 				continue
 			}
-			if !c.sleepBackoff(ctx, attempt) {
+			if !retry.Backoff(ctx, c.opts.RetryBackoff, attempt) {
 				break
 			}
 			continue
@@ -710,27 +711,11 @@ func (c *Coordinator) attemptChain(ctx context.Context, cfg sim.Config, preferre
 		// This worker failed the point at the transport level: stop
 		// preferring the plan, try a different worker next.
 		preferred, avoid = nil, w
-		if !c.sleepBackoff(ctx, attempt) {
+		if !retry.Backoff(ctx, c.opts.RetryBackoff, attempt) {
 			break
 		}
 	}
 	return sim.Result{}, nil, fmt.Errorf("cluster: dispatch exhausted after retries: %w", lastErr)
-}
-
-// sleepBackoff waits out the exponential-backoff delay before the next
-// dispatch attempt (base<<attempt, ±50% jitter, capped at 5s),
-// reporting false if ctx was cancelled while waiting.
-func (c *Coordinator) sleepBackoff(ctx context.Context, attempt int) bool {
-	b := c.opts.RetryBackoff
-	if b <= 0 {
-		return ctx.Err() == nil
-	}
-	d := b << attempt
-	if d <= 0 || d > 5*time.Second {
-		d = 5 * time.Second
-	}
-	d = d/2 + rand.N(d) // uniform in [d/2, 3d/2)
-	return sleep(ctx, d)
 }
 
 // runOn dispatches one point to one worker and waits for its terminal
@@ -739,7 +724,7 @@ func (c *Coordinator) sleepBackoff(ctx context.Context, attempt int) bool {
 // cancels it, so the point reassigns immediately.
 func (c *Coordinator) runOn(ctx context.Context, w *worker, cfg sim.Config) (sim.Result, error) {
 	if err := c.faults.Fire(ctx, fault.SiteClusterDispatch); err != nil {
-		w.br.report(false)
+		w.br.Report(false)
 		w.mu.Lock()
 		w.failed++
 		w.mu.Unlock()
@@ -772,7 +757,7 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, cfg sim.Config) (sim
 	defer stop()
 
 	fail := func(err error) (sim.Result, error) {
-		w.br.report(false)
+		w.br.Report(false)
 		w.mu.Lock()
 		w.failed++
 		w.mu.Unlock()
@@ -791,7 +776,7 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, cfg sim.Config) (sim
 	}
 	// The worker answered end to end: transport-wise it is healthy,
 	// whatever the job's own verdict.
-	w.br.report(true)
+	w.br.Report(true)
 	if view.State == service.StateFailed {
 		return sim.Result{}, fmt.Errorf("%w %s: %s", errJobFailed, w.client.URL(), view.Error)
 	}

@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sync"
 
+	"hbcache/internal/durable"
 	"hbcache/internal/fault"
 	"hbcache/internal/runner"
 	"hbcache/internal/sim"
@@ -81,7 +82,9 @@ type Journal struct {
 	f  *os.File
 }
 
-// OpenJournal opens (creating if needed) the sweep journal in dir.
+// OpenJournal opens (creating if needed) the sweep journal in dir and
+// fsyncs dir, so a freshly created journal's directory entry is as
+// durable as the records Append syncs into it.
 func OpenJournal(dir string, faults *fault.Registry) (*Journal, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("cluster: journal dir: %w", err)
@@ -89,6 +92,10 @@ func OpenJournal(dir string, faults *fault.Registry) (*Journal, error) {
 	f, err := os.OpenFile(filepath.Join(dir, journalFile), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: opening journal: %w", err)
+	}
+	if err := durable.SyncDir(dir); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("cluster: syncing journal dir: %w", err)
 	}
 	return &Journal{path: f.Name(), faults: faults, f: f}, nil
 }

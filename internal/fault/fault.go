@@ -22,6 +22,8 @@ import (
 	"strings"
 	"sync"
 	"time"
+
+	"hbcache/internal/retry"
 )
 
 // Kind is the failure mode a rule injects.
@@ -278,12 +280,7 @@ func (r *Registry) Fire(ctx context.Context, site string) error {
 	case KindPanic:
 		panic(fmt.Sprintf("fault: injected panic at %s", site))
 	case KindDelay:
-		t := time.NewTimer(rule.Delay)
-		defer t.Stop()
-		select {
-		case <-t.C:
-			return nil
-		case <-ctx.Done():
+		if !retry.Sleep(ctx, rule.Delay) {
 			return ctx.Err()
 		}
 	case KindHang:

@@ -1,4 +1,4 @@
-package cluster
+package retry
 
 import (
 	"sync"
@@ -8,26 +8,26 @@ import (
 )
 
 // trip opens a fresh breaker by reporting threshold failures.
-func trip(t *testing.T, b *breaker) {
+func trip(t *testing.T, b *Breaker) {
 	t.Helper()
 	for i := 0; i < b.threshold; i++ {
-		b.report(false)
+		b.Report(false)
 	}
-	if st, _ := b.snapshot(); st != breakerOpen {
+	if st, _ := b.State(); st != Open {
 		t.Fatalf("breaker after %d failures = %v, want open", b.threshold, st)
 	}
 }
 
 // TestBreakerHalfOpenSingleProbe is the concurrency pin for the
 // half-open protocol, run under -race: when the cooldown lapses and N
-// goroutines race allow(), exactly one wins the probe slot; the losers
+// goroutines race Allow(), exactly one wins the probe slot; the losers
 // fast-fail without touching the worker. The winner's success closes
 // the breaker exactly once; its failure re-opens it for a full cooldown.
 func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	const goroutines = 64
-	b := newBreaker(2, 10*time.Millisecond)
+	b := NewBreaker(2, 10*time.Millisecond)
 	trip(t, b)
-	time.Sleep(15 * time.Millisecond) // cooldown lapses; next allow() goes half-open
+	time.Sleep(15 * time.Millisecond) // cooldown lapses; next Allow() goes half-open
 
 	var admitted atomic.Int64
 	var start, done sync.WaitGroup
@@ -37,7 +37,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 		go func() {
 			defer done.Done()
 			start.Wait()
-			if b.allow() {
+			if b.Allow() {
 				admitted.Add(1)
 			}
 		}()
@@ -47,14 +47,14 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	if n := admitted.Load(); n != 1 {
 		t.Fatalf("half-open admitted %d concurrent probes, want exactly 1", n)
 	}
-	if st, _ := b.snapshot(); st != breakerHalfOpen {
+	if st, _ := b.State(); st != HalfOpen {
 		t.Fatalf("state after the probe race = %v, want half-open while the probe is out", st)
 	}
 
 	// The probe succeeds: the breaker closes once, and a second racing
 	// wave all passes (closed state admits everyone).
-	b.report(true)
-	if st, opens := b.snapshot(); st != breakerClosed || opens != 1 {
+	b.Report(true)
+	if st, opens := b.State(); st != Closed || opens != 1 {
 		t.Fatalf("after probe success state=%v opens=%d, want closed with the single original open", st, opens)
 	}
 	admitted.Store(0)
@@ -64,7 +64,7 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 		go func() {
 			defer done.Done()
 			start.Wait()
-			if b.allow() {
+			if b.Allow() {
 				admitted.Add(1)
 			}
 		}()
@@ -78,17 +78,17 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 
 // TestBreakerHalfOpenProbeFailureReopens: a failed probe re-opens the
 // breaker immediately and restarts the cooldown, so the next wave of
-// allow() calls all fast-fail.
+// Allow() calls all fast-fail.
 func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
-	b := newBreaker(2, 20*time.Millisecond)
+	b := NewBreaker(2, 20*time.Millisecond)
 	trip(t, b)
 	time.Sleep(30 * time.Millisecond)
-	if !b.allow() {
+	if !b.Allow() {
 		t.Fatal("post-cooldown probe not admitted")
 	}
-	b.report(false)
-	st, opens := b.snapshot()
-	if st != breakerOpen || opens != 2 {
+	b.Report(false)
+	st, opens := b.State()
+	if st != Open || opens != 2 {
 		t.Fatalf("after probe failure state=%v opens=%d, want re-opened with a second open counted", st, opens)
 	}
 	// Freshly re-opened: inside the new cooldown everyone fast-fails,
@@ -99,7 +99,7 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if b.allow() {
+			if b.Allow() {
 				admitted.Add(1)
 			}
 		}()
@@ -110,12 +110,12 @@ func TestBreakerHalfOpenProbeFailureReopens(t *testing.T) {
 	}
 }
 
-// TestBreakerProbeSuccessClosesOnceUnderRace: allow() and report() race
+// TestBreakerProbeSuccessClosesOnceUnderRace: Allow() and Report() race
 // freely under -race. Every admitted dispatch reports success, so the
 // breaker must converge to closed having opened exactly once — and the
 // data-race detector vouches for the locking along the way.
 func TestBreakerProbeSuccessClosesOnceUnderRace(t *testing.T) {
-	b := newBreaker(1, time.Millisecond)
+	b := NewBreaker(1, time.Millisecond)
 	trip(t, b)
 	time.Sleep(2 * time.Millisecond)
 
@@ -125,14 +125,14 @@ func TestBreakerProbeSuccessClosesOnceUnderRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for k := 0; k < 50; k++ {
-				if b.allow() {
-					b.report(true)
+				if b.Allow() {
+					b.Report(true)
 				}
 			}
 		}()
 	}
 	wg.Wait()
-	if st, opens := b.snapshot(); st != breakerClosed || opens != 1 {
+	if st, opens := b.State(); st != Closed || opens != 1 {
 		t.Errorf("terminal state=%v opens=%d, want closed after exactly one open", st, opens)
 	}
 }

@@ -188,10 +188,7 @@ func (r *Runner) doBatch(ctx context.Context, jobs []*batchJob, results []JobRes
 	for i, job := range runJobs {
 		jr := &results[job.idx]
 		jr.Attempts = 1
-		laneRes, laneErr := res[i], errs[i]
-		if laneErr != nil && Retryable(laneErr) && r.retries > 0 {
-			laneRes, laneErr = r.retrySingle(ctx, job.cfg, jr, laneErr)
-		}
+		laneRes, laneErr := r.retryFailed(ctx, job.cfg, false, jr, res[i], errs[i])
 		if laneErr != nil {
 			job.entry.err = fmt.Errorf("runner: %s: %w", job.cfg.Benchmark, laneErr)
 			jr.Err = job.entry.err
@@ -227,28 +224,4 @@ func (r *Runner) simulateBatch(ctx context.Context, cfgs []sim.Config) (res []si
 		}
 	}()
 	return sim.RunBatch(ctx, cfgs, r.runOpts)
-}
-
-// retrySingle re-runs one lane on the per-run simulator after a
-// retryable batch failure, honoring the runner's retry budget and
-// backoff. It returns the first success or the last error.
-func (r *Runner) retrySingle(ctx context.Context, cfg sim.Config, jr *JobResult, prev error) (sim.Result, error) {
-	err := prev
-	for attempt := 1; attempt <= r.retries && Retryable(err); attempt++ {
-		if cerr := ctx.Err(); cerr != nil {
-			return sim.Result{}, cerr
-		}
-		r.mu.Lock()
-		r.metrics.Retries++
-		r.mu.Unlock()
-		if !r.sleepBackoff(ctx, attempt-1) {
-			return sim.Result{}, ctx.Err()
-		}
-		jr.Attempts++
-		var res sim.Result
-		if res, err = r.simulate(ctx, cfg, false); err == nil {
-			return res, nil
-		}
-	}
-	return sim.Result{}, err
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync/atomic"
 
+	"hbcache/internal/durable"
 	"hbcache/internal/fault"
 	"hbcache/internal/sim"
 )
@@ -101,19 +102,6 @@ func (c *Cache) path(key string) string {
 // quarantined since it was opened.
 func (c *Cache) CorruptEntries() int64 { return c.corrupt.Load() }
 
-// quarantine renames a corrupt entry to <name>.corrupt — out of Get's
-// path and Len's count, preserved for postmortem — and counts it. The
-// next Get is a clean miss, so the result is recomputed exactly once
-// rather than re-parsed (and re-failed) every run. If the rename fails
-// the file is removed outright; a corrupt entry must never survive
-// where Get will find it again.
-func (c *Cache) quarantine(p string) {
-	c.corrupt.Add(1)
-	if err := os.Rename(p, p+".corrupt"); err != nil {
-		os.Remove(p)
-	}
-}
-
 // Get returns the cached result for key, if present and intact. A
 // missing file is a plain miss. A file that exists but fails to parse,
 // carries the wrong key, or fails its checksum is quarantined (renamed
@@ -135,21 +123,20 @@ func (c *Cache) Get(key string) (sim.Result, bool) {
 	}
 	var e StoreEntry
 	if err := json.Unmarshal(b, &e); err != nil || !e.Verify(key) {
-		c.quarantine(p)
+		// Out of Get's path and Len's count: the next Get is a clean
+		// miss, so the result is recomputed exactly once rather than
+		// re-parsed (and re-failed) every run.
+		durable.Quarantine(p, &c.corrupt)
 		return sim.Result{}, false
 	}
 	return e.Result, true
 }
 
-// Put stores a result under key, atomically: written to a temp file in
-// the same directory and renamed into place, so a killed process never
-// leaves a half-written entry where Get will find it.
+// Put stores a result under key with durable.WriteFile, so neither a
+// killed process nor a power loss leaves a half-written entry where Get
+// will find it.
 func (c *Cache) Put(key string, cfg sim.Config, res sim.Result) error {
 	if err := c.faults.Fire(context.Background(), fault.SiteCacheWrite); err != nil {
-		return err
-	}
-	p := c.path(key)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		return err
 	}
 	e := StoreEntry{Key: key, Config: cfg, Result: res}
@@ -162,20 +149,7 @@ func (c *Cache) Put(key string, cfg sim.Config, res sim.Result) error {
 	// file lands on disk genuinely self-inconsistent — exactly what a
 	// torn write or bit rot produces.
 	c.faults.Mangle(fault.SiteCacheBytes, b)
-	tmp, err := os.CreateTemp(filepath.Dir(p), key+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), p)
+	return durable.WriteFile(c.path(key), append(b, '\n'))
 }
 
 // Len counts the entries currently stored, for tests and tooling.

@@ -25,13 +25,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand/v2"
 	"runtime"
 	"runtime/debug"
 	"sync"
 	"time"
 
 	"hbcache/internal/fault"
+	"hbcache/internal/retry"
 	"hbcache/internal/sim"
 )
 
@@ -482,28 +482,14 @@ func (r *Runner) do(ctx context.Context, cfg sim.Config, shared bool) JobResult 
 		}
 	}
 
-	var res sim.Result
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			entry.err = err
-			jr.Err = err
-			return settle()
-		}
-		jr.Attempts = attempt + 1
-		res, err = r.simulate(ctx, cfg, shared)
-		if err == nil || attempt >= r.retries || !Retryable(err) {
-			break
-		}
-		r.mu.Lock()
-		r.metrics.Retries++
-		r.mu.Unlock()
-		if !r.sleepBackoff(ctx, attempt) {
-			entry.err = ctx.Err()
-			jr.Err = entry.err
-			return settle()
-		}
+	if err := ctx.Err(); err != nil {
+		entry.err = err
+		jr.Err = err
+		return settle()
 	}
-	if err != nil {
+	jr.Attempts = 1
+	res, err := r.simulate(ctx, cfg, shared)
+	if res, err = r.retryFailed(ctx, cfg, shared, &jr, res, err); err != nil {
 		entry.err = fmt.Errorf("runner: %s: %w", cfg.Benchmark, err)
 		jr.Err = entry.err
 		return settle()
@@ -520,26 +506,24 @@ func (r *Runner) do(ctx context.Context, cfg sim.Config, shared bool) JobResult 
 	return settle()
 }
 
-// sleepBackoff waits out the exponential-backoff delay before retry
-// attempt+1: base<<attempt with ±50% jitter, capped at 5s. It reports
-// false if ctx was cancelled while waiting.
-func (r *Runner) sleepBackoff(ctx context.Context, attempt int) bool {
-	if r.backoff <= 0 {
-		return true
+// retryFailed re-runs a retryable failure on the per-run simulator up
+// to the runner's retry budget, waiting retry.Backoff between attempts.
+// res and err are the outcome of the job's first attempt — a per-run
+// simulation or a batch lane — which jr.Attempts already counts. It
+// returns the first success or the last error; a cancellation while
+// waiting returns ctx's error.
+func (r *Runner) retryFailed(ctx context.Context, cfg sim.Config, shared bool, jr *JobResult, res sim.Result, err error) (sim.Result, error) {
+	for attempt := 0; err != nil && attempt < r.retries && Retryable(err); attempt++ {
+		r.mu.Lock()
+		r.metrics.Retries++
+		r.mu.Unlock()
+		if !retry.Backoff(ctx, r.backoff, attempt) {
+			return sim.Result{}, ctx.Err()
+		}
+		jr.Attempts++
+		res, err = r.simulate(ctx, cfg, shared)
 	}
-	d := r.backoff << attempt
-	if d <= 0 || d > 5*time.Second {
-		d = 5 * time.Second
-	}
-	d = d/2 + rand.N(d) // uniform in [d/2, 3d/2)
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-t.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
+	return res, err
 }
 
 // simulate runs one simulation, converting a panic into an error so a

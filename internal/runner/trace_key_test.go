@@ -4,6 +4,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"hbcache/internal/durable"
 	"hbcache/internal/sim"
 	"hbcache/internal/workload"
 )
@@ -16,7 +17,7 @@ func traceAt(t *testing.T, path, bench string, seed uint64) string {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := workload.WriteTraceFile(path, data); err != nil {
+	if err := durable.WriteFile(path, data); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := workload.OpenTraceFile(path)

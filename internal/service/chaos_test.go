@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"hbcache/internal/fault"
+	"hbcache/internal/retry"
 	"hbcache/internal/runner"
 	"hbcache/internal/sim"
 )
@@ -239,6 +241,54 @@ func TestChaosSlowSSESubscriberDropped(t *testing.T) {
 	})
 	if reg.Fired(fault.SiteSSEWrite) == 0 {
 		t.Error("the SSE delay fault never fired; the test proved nothing")
+	}
+}
+
+// TestChaosBreakerReleasesUnusedProbe pins the unused-probe release: a
+// half-open breaker grants its single probe slot to a Submit or a
+// SubmitSweep that the full queue then refuses, and the refusal frees
+// the slot, so the next submission is granted the probe in turn
+// instead of bouncing off ErrBreakerOpen until a probe that never ran
+// reports. Every settled job reports to the breaker and frees a queue
+// slot, so a queue cannot fill up while the breaker is open; the test
+// trips the breaker directly, as a failure settled elsewhere would.
+func TestChaosBreakerReleasesUnusedProbe(t *testing.T) {
+	started := make(chan struct{}, 8)
+	release := make(chan struct{})
+	svc, _ := newTestServer(t, func(ctx context.Context, cfg sim.Config) (sim.Result, error) {
+		started <- struct{}{}
+		<-release
+		return stubSim(ctx, cfg)
+	}, Options{QueueSize: 1, Concurrency: 1, BreakerThreshold: 1, BreakerCooldown: 20 * time.Millisecond})
+	defer close(release)
+
+	// One job holds the lone worker, a second fills the lone queue slot.
+	if _, _, err := svc.Submit(testConfig(0)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-started:
+	case <-time.After(5 * time.Second):
+		t.Fatal("first job never started")
+	}
+	if _, _, err := svc.Submit(testConfig(1)); err != nil {
+		t.Fatal(err)
+	}
+
+	svc.breaker.Report(false) // threshold 1: open
+	time.Sleep(40 * time.Millisecond)
+
+	submit := func(i int) error { _, _, err := svc.Submit(testConfig(i)); return err }
+	sweep := func(i int) error { _, err := svc.SubmitSweep([]sim.Config{testConfig(i)}); return err }
+	for i, fn := range []func(int) error{submit, sweep, submit} {
+		// ErrBreakerOpen here means the previous refusal kept the probe
+		// slot; ErrQueueFull means this call was granted it.
+		if err := fn(2 + i); !errors.Is(err, ErrQueueFull) {
+			t.Fatalf("half-open submission %d against a full queue: err = %v, want ErrQueueFull", i, err)
+		}
+	}
+	if st, opens := svc.breaker.State(); st != retry.HalfOpen || opens != 1 {
+		t.Fatalf("breaker after the refusals = %v (opens %d), want half-open after one open", st, opens)
 	}
 }
 

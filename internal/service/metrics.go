@@ -24,8 +24,9 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		draining = 1
 	}
 	p.Gauge("hbserved_draining", "1 while shutdown is draining jobs.", draining)
-	p.Gauge("hbserved_breaker_state", "Circuit breaker position: 0 closed, 1 open, 2 half-open.", float64(s.breaker))
-	p.Counter("hbserved_breaker_opens_total", "Times the circuit breaker tripped open.", float64(s.breakerOpens))
+	brState, brOpens := s.breaker.State()
+	p.Gauge("hbserved_breaker_state", "Circuit breaker position: 0 closed, 1 open, 2 half-open.", float64(brState))
+	p.Counter("hbserved_breaker_opens_total", "Times the circuit breaker tripped open.", float64(brOpens))
 	p.Counter("hbserved_sse_dropped_total", "SSE subscribers dropped for not draining events within the write timeout.", float64(s.sseDropped))
 	p.Counter("hbserved_sweeps_truncated_total", "Sweeps that completed with at least one deadline-truncated member.", float64(s.truncatedSweeps))
 

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"net/http"
 	"time"
+
+	"hbcache/internal/retry"
 )
 
 // WorkerStatus is one cluster worker's state as readiness and /metrics
@@ -105,6 +107,7 @@ func (s *Service) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // amplifier. The payload carries the evidence: queue depth, breaker
 // state, and the per-worker fleet view with lease ages.
 func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
+	brState, _ := s.breaker.State()
 	s.mu.Lock()
 	rd := readiness{
 		Ready:         true,
@@ -112,15 +115,14 @@ func (s *Service) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		QueueDepth:    len(s.queue),
 		QueueCapacity: cap(s.queue),
 		Inflight:      s.running,
-		Breaker:       s.breaker.String(),
+		Breaker:       brState.String(),
 	}
-	breakerOpen := s.breaker == breakerOpen
 	s.mu.Unlock()
 
 	switch {
 	case rd.Draining:
 		rd.Ready, rd.Reason = false, "draining"
-	case breakerOpen:
+	case brState == retry.Open:
 		rd.Ready, rd.Reason = false, "circuit breaker open"
 	}
 

@@ -23,6 +23,7 @@ import (
 	"time"
 
 	"hbcache/internal/fault"
+	"hbcache/internal/retry"
 	"hbcache/internal/runner"
 	"hbcache/internal/sim"
 	"hbcache/internal/stats"
@@ -156,27 +157,6 @@ var (
 	// consecutive failures; retry after the cooldown.
 	ErrBreakerOpen = errors.New("service: circuit breaker open")
 )
-
-// breakerState is the circuit breaker's position. The numeric values
-// are exported verbatim on /metrics (hbserved_breaker_state).
-type breakerState int
-
-const (
-	breakerClosed   breakerState = 0
-	breakerOpen     breakerState = 1
-	breakerHalfOpen breakerState = 2
-)
-
-func (b breakerState) String() string {
-	switch b {
-	case breakerOpen:
-		return "open"
-	case breakerHalfOpen:
-		return "half-open"
-	default:
-		return "closed"
-	}
-}
 
 // State is a job's lifecycle position.
 type State string
@@ -349,12 +329,11 @@ type Service struct {
 	latency     *stats.LatencyHistogram
 	lastRunner  runner.Metrics
 
-	// Circuit breaker state, all under mu.
-	breaker         breakerState
-	consecFails     int
-	breakerOpenedAt time.Time
-	breakerOpens    uint64
-	probing         bool // a half-open probe job is in flight
+	// breaker gates genuinely new work on consecutive job failures. It
+	// has its own lock; admission calls it under mu, so a granted
+	// half-open probe is released by the same critical section that
+	// finds the queue full.
+	breaker *retry.Breaker
 
 	sseDropped      uint64 // SSE subscribers dropped for not draining in time
 	truncatedSweeps uint64 // sweeps completed with deadline-truncated members
@@ -377,6 +356,7 @@ func New(r *runner.Runner, opts Options) *Service {
 		queue:   make(chan *job, opts.QueueSize),
 		latency: stats.NewLatencyHistogram(),
 		traces:  newTraceStore(opts.TraceDir),
+		breaker: retry.NewBreaker(opts.BreakerThreshold, opts.BreakerCooldown),
 	}
 	if st := r.Store(); st != nil {
 		s.storeSrv = runner.NewStoreServer(st)
@@ -460,75 +440,17 @@ func (s *Service) Submit(cfg sim.Config) (JobView, bool, error) {
 		s.deduped++
 		return s.viewLocked(j), true, nil
 	}
-	if err := s.breakerAllowLocked(); err != nil {
-		return JobView{}, false, err
+	if !s.breaker.Allow() {
+		return JobView{}, false, ErrBreakerOpen
 	}
-	wasProbe := s.breaker == breakerHalfOpen
 	j, err := s.admitLocked(cfg, key)
 	if err != nil {
-		if wasProbe {
-			// The probe slot was granted but never used; free it so the
-			// next submission can probe instead of waiting on this one.
-			s.probing = false
-		}
+		// A granted probe slot was never used; free it so the next
+		// submission can probe instead of waiting on this one.
+		s.breaker.Release()
 		return JobView{}, false, err
 	}
 	return s.viewLocked(j), false, nil
-}
-
-// breakerAllowLocked gates admission of genuinely new work. Closed
-// passes everything; open rejects until the cooldown has elapsed, then
-// degrades to half-open; half-open admits exactly one probe at a time —
-// its outcome decides whether the breaker closes or re-opens.
-func (s *Service) breakerAllowLocked() error {
-	if s.opts.BreakerThreshold <= 0 {
-		return nil
-	}
-	switch s.breaker {
-	case breakerOpen:
-		if time.Since(s.breakerOpenedAt) < s.opts.BreakerCooldown {
-			return ErrBreakerOpen
-		}
-		s.breaker = breakerHalfOpen
-		s.probing = false
-		fallthrough
-	case breakerHalfOpen:
-		if s.probing {
-			return ErrBreakerOpen
-		}
-		s.probing = true
-	}
-	return nil
-}
-
-// breakerResultLocked folds one finished job into the breaker: any
-// success closes a half-open breaker and clears the failure streak; a
-// failure re-opens a half-open breaker immediately, and trips a closed
-// one once the streak reaches the threshold.
-func (s *Service) breakerResultLocked(failed bool) {
-	if s.opts.BreakerThreshold <= 0 {
-		return
-	}
-	if !failed {
-		s.consecFails = 0
-		if s.breaker == breakerHalfOpen {
-			s.breaker = breakerClosed
-			s.probing = false
-		}
-		return
-	}
-	s.consecFails++
-	switch {
-	case s.breaker == breakerHalfOpen:
-		s.breaker = breakerOpen
-		s.breakerOpenedAt = time.Now()
-		s.breakerOpens++
-		s.probing = false
-	case s.breaker == breakerClosed && s.consecFails >= s.opts.BreakerThreshold:
-		s.breaker = breakerOpen
-		s.breakerOpenedAt = time.Now()
-		s.breakerOpens++
-	}
 }
 
 // admitLocked creates and enqueues a job, or reports why it cannot.
@@ -623,16 +545,11 @@ func (s *Service) submitSweep(id string, cfgs []sim.Config) (SweepView, error) {
 			inBatch[k] = true
 		}
 	}
-	if fresh > 0 {
-		if err := s.breakerAllowLocked(); err != nil {
-			return SweepView{}, err
-		}
+	if fresh > 0 && !s.breaker.Allow() {
+		return SweepView{}, ErrBreakerOpen
 	}
-	wasProbe := fresh > 0 && s.breaker == breakerHalfOpen
 	if cap(s.queue)-len(s.queue) < fresh {
-		if wasProbe {
-			s.probing = false
-		}
+		s.breaker.Release()
 		s.rejected++
 		return SweepView{}, ErrQueueFull
 	}
@@ -813,7 +730,7 @@ func (s *Service) settleJob(j *job, jr runner.JobResult) {
 		j.res = &res
 		s.doneJobs++
 	}
-	s.breakerResultLocked(jr.Err != nil)
+	s.breaker.Report(jr.Err == nil)
 	s.latency.Observe(jr.Wall.Seconds())
 	s.appendJobEventLocked(j, Event{Type: "state", State: j.state, Error: j.errMsg})
 

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"sync"
 
+	"hbcache/internal/durable"
 	"hbcache/internal/sim"
 	"hbcache/internal/workload"
 )
@@ -98,7 +99,9 @@ func (ts *traceStore) lookup(digest string) (string, bool) {
 // put verifies data as a complete trace and stores it under its content
 // digest. wantDigest, when non-empty, is the uploader's claimed
 // checksum — a mismatch is rejected before anything lands on disk.
-// Storing bytes the store already holds is a no-op dedup.
+// Storing bytes the store already holds intact is a no-op dedup; a
+// stored copy that fails verification is quarantined by OpenTraceFile
+// and replaced by the upload.
 func (ts *traceStore) put(data []byte, wantDigest string) (tr *workload.Trace, path string, existed bool, err error) {
 	tr, err = workload.OpenTrace(data)
 	if err != nil {
@@ -113,11 +116,11 @@ func (ts *traceStore) put(data []byte, wantDigest string) (tr *workload.Trace, p
 		return nil, "", false, err
 	}
 	p := ts.pathFor(tr.Digest())
-	if _, statErr := os.Stat(p); statErr == nil {
+	if _, verr := workload.OpenTraceFile(p); verr == nil {
 		ts.dedups++
 		return tr, p, true, nil
 	}
-	if err := workload.WriteTraceFile(p, data); err != nil {
+	if err := durable.WriteFile(p, data); err != nil {
 		return nil, "", false, fmt.Errorf("service: storing trace: %w", err)
 	}
 	ts.uploads++

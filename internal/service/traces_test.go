@@ -5,11 +5,13 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
 
 	"hbcache/internal/cpu"
+	"hbcache/internal/durable"
 	"hbcache/internal/mem"
 	"hbcache/internal/runner"
 	"hbcache/internal/sim"
@@ -186,6 +188,46 @@ func TestTraceUploadDedup(t *testing.T) {
 	}
 }
 
+// TestTraceUploadReplacesCorruptCopy: a stored trace that rotted on
+// disk is not a dedup hit. Re-uploading it verifies the stored copy,
+// quarantines it and writes the upload, so the next job over the digest
+// runs instead of failing validation.
+func TestTraceUploadReplacesCorruptCopy(t *testing.T) {
+	dir := t.TempDir()
+	svc, ts := newTestServer(t, stubSim, Options{TraceDir: dir})
+	data, digest := recordFor(t, "compress")
+	if resp, _ := postTrace(t, ts.URL, data, digest); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("first upload: got %d, want 201", resp.StatusCode)
+	}
+	stored := filepath.Join(dir, digest+".trace")
+	rotten := append([]byte(nil), data...)
+	rotten[len(rotten)/2] ^= 0x40
+	if err := os.WriteFile(stored, rotten, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if resp, body := postTrace(t, ts.URL, data, digest); resp.StatusCode != http.StatusCreated {
+		t.Fatalf("re-upload over a corrupt copy: got %d (%s), want 201 (rewritten, not deduped)", resp.StatusCode, body)
+	}
+	if _, err := os.Stat(stored + ".corrupt"); err != nil {
+		t.Errorf("corrupt copy not quarantined: %v", err)
+	}
+	if st := svc.TraceStats(); st.Stored != 1 || st.Uploads != 2 || st.Dedups != 0 {
+		t.Fatalf("stats after replacing the corrupt copy: %+v", st)
+	}
+
+	cfg := traceConfig("compress")
+	cfg.Trace = &sim.TraceRef{Digest: digest}
+	view, _, err := svc.Submit(cfg)
+	if err != nil {
+		t.Fatalf("job over the re-uploaded trace refused: %v", err)
+	}
+	waitForJob(t, svc, view.ID)
+	if jv, err := svc.Job(view.ID); err != nil || jv.State != StateDone {
+		t.Fatalf("job over the re-uploaded trace: %+v, %v", jv, err)
+	}
+}
+
 // TestTraceSweepByDigest: a sweep whose configs reference an uploaded
 // trace by digest alone resolves against the store, runs, and pins the
 // digest in every member job's canonical config.
@@ -296,7 +338,7 @@ func TestTraceJobRealSim(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, "database.trace")
-	if err := workload.WriteTraceFile(path, data); err != nil {
+	if err := durable.WriteFile(path, data); err != nil {
 		t.Fatal(err)
 	}
 	digest, err := workload.TraceFileDigest(path)

@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"testing"
 
+	"hbcache/internal/durable"
 	"hbcache/internal/mem"
 	"hbcache/internal/workload"
 )
@@ -22,7 +23,7 @@ func traceFor(t *testing.T, dir string, cfg Config) Config {
 		t.Fatalf("RecordTrace: %v", err)
 	}
 	path := filepath.Join(dir, cfg.Benchmark+".trace")
-	if err := workload.WriteTraceFile(path, data); err != nil {
+	if err := durable.WriteFile(path, data); err != nil {
 		t.Fatal(err)
 	}
 	digest, err := workload.TraceFileDigest(path)
@@ -251,7 +252,7 @@ func TestTraceShortRecordingEndsCleanly(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := filepath.Join(t.TempDir(), "short.trace")
-	if err := workload.WriteTraceFile(path, data); err != nil {
+	if err := durable.WriteFile(path, data); err != nil {
 		t.Fatal(err)
 	}
 	cfg.Trace = &TraceRef{Path: path}

@@ -5,12 +5,13 @@
 // SHA-256 over everything else, making torn writes and bit rot
 // detectable before a run resumes from them.
 //
-// The file-level helpers mirror the result cache's durability contract
-// (internal/runner): writes go to a temp file and rename into place, so
-// a killed process never leaves a half-written snapshot where Load will
-// find it; reads that fail verification quarantine the file to
-// *.corrupt — preserved for postmortem, out of every future Load's way
-// — and are counted, so a run never silently resumes from bad state.
+// The file-level helpers share the result cache's durability contract
+// through internal/durable: writes are fsynced and renamed into place,
+// so neither a killed process nor a power loss leaves a half-written
+// snapshot where Load will find it; reads that fail verification
+// quarantine the file to *.corrupt — preserved for postmortem, out of
+// every future Load's way — and are counted, so a run never silently
+// resumes from bad state.
 // Both paths carry fault-injection sites (fault.SiteSnapshotRead /
 // SiteSnapshotWrite) for chaos testing.
 //
@@ -26,9 +27,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync/atomic"
 
+	"hbcache/internal/durable"
 	"hbcache/internal/fault"
 )
 
@@ -119,8 +120,8 @@ func Decode(data []byte, kind string, payload any) error {
 	return nil
 }
 
-// Save seals payload and writes it to path atomically (temp file +
-// rename). A KindCorrupt fault rule at SiteSnapshotWrite mangles the
+// Save seals payload and writes it to path with durable.WriteFile. A
+// KindCorrupt fault rule at SiteSnapshotWrite mangles the
 // bytes after the checksum is computed, so the file lands on disk
 // genuinely self-inconsistent — what a torn write produces.
 func Save(path, kind string, payload any, faults *fault.Registry) error {
@@ -132,24 +133,7 @@ func Save(path, kind string, payload any, faults *fault.Registry) error {
 		return err
 	}
 	faults.Mangle(fault.SiteSnapshotWrite, b)
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(append(b, '\n')); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return durable.WriteFile(path, append(b, '\n'))
 }
 
 // Load reads, verifies, and decodes the snapshot at path. A missing
@@ -167,10 +151,7 @@ func Load(path, kind string, payload any, faults *fault.Registry) error {
 		return err
 	}
 	if err := Decode(b, kind, payload); err != nil {
-		quarantined.Add(1)
-		if renameErr := os.Rename(path, path+".corrupt"); renameErr != nil {
-			os.Remove(path)
-		}
+		durable.Quarantine(path, &quarantined)
 		return err
 	}
 	return nil

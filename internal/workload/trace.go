@@ -9,9 +9,9 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"path/filepath"
 	"sync/atomic"
 
+	"hbcache/internal/durable"
 	"hbcache/internal/isa"
 )
 
@@ -300,37 +300,10 @@ func OpenTraceFile(path string) (*Trace, error) {
 	}
 	t, err := OpenTrace(data)
 	if err != nil {
-		quarantinedTraces.Add(1)
-		if renameErr := os.Rename(path, path+".corrupt"); renameErr != nil {
-			os.Remove(path)
-		}
+		durable.Quarantine(path, &quarantinedTraces)
 		return nil, fmt.Errorf("trace %s: %w", path, err)
 	}
 	return t, nil
-}
-
-// WriteTraceFile writes sealed trace bytes to path atomically (temp
-// file + rename), so a killed process never leaves a torn trace where
-// OpenTraceFile will find it.
-func WriteTraceFile(path string, data []byte) error {
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
 }
 
 // TraceFileDigest fully verifies the trace at path and returns its

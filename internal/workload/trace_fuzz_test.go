@@ -4,6 +4,8 @@ import (
 	"errors"
 	"os"
 	"testing"
+
+	"hbcache/internal/durable"
 )
 
 // FuzzTraceDecode throws arbitrary bytes at the trace opener. The
@@ -73,7 +75,7 @@ func TestOpenTraceFileKeepsValidFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	path := t.TempDir() + "/ok.trace"
-	if err := WriteTraceFile(path, data); err != nil {
+	if err := durable.WriteFile(path, data); err != nil {
 		t.Fatal(err)
 	}
 	before := TracesQuarantined()

@@ -8,6 +8,7 @@ import (
 	"strings"
 	"testing"
 
+	"hbcache/internal/durable"
 	"hbcache/internal/isa"
 )
 
@@ -266,7 +267,7 @@ func TestTraceFileRoundTripAndQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteTraceFile(path, data); err != nil {
+	if err := durable.WriteFile(path, data); err != nil {
 		t.Fatal(err)
 	}
 	tr, err := OpenTraceFile(path)
