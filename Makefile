@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build bin test race vet fmt verify bench serve chaos cover fuzz cluster sample trace hbbench golden
+.PHONY: build bin test race vet fmt verify bench serve chaos cover fuzz cluster sample trace hbbench golden loc
 
 build:
 	$(GO) build ./...
@@ -66,6 +66,12 @@ sample:
 # deliberate semantics change: go test -run TestGolden -update .
 golden:
 	$(GO) test -count=1 -run TestGolden .
+
+# Production Go line count: every non-test .go file under internal/ and
+# cmd/, excluding the cmd/hbbench benchmark module. Design changes that
+# delete a duplicate path quote it before and after.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' ! -path 'cmd/hbbench/*' -print0 | xargs -0 cat | wc -l
 
 # Run the simulation service locally with sensible dev defaults.
 serve:

@@ -6,6 +6,7 @@ import (
 	"os"
 	"reflect"
 	"testing"
+	"time"
 
 	"hbcache/internal/cpu"
 	"hbcache/internal/fault"
@@ -42,9 +43,9 @@ func realConfigs(n int) []sim.Config {
 	return cfgs
 }
 
-// TestBatchedRunMatchesSingle pins the batched scheduling path's
-// contract: identical results, in submission order, as the per-run
-// path — at several batch sizes, including batches that do not divide
+// TestBatchedRunMatchesSingle pins lockstep batching's contract:
+// identical results, in submission order, as batches of one — at
+// several batch sizes, including batches that do not divide
 // the job count, and with a sampled config stepping among the lanes.
 func TestBatchedRunMatchesSingle(t *testing.T) {
 	sampled := realConfig(0)
@@ -75,7 +76,7 @@ func TestBatchedRunMatchesSingle(t *testing.T) {
 				t.Fatalf("batch=%d job %d: %v", batch, i, got[i].Err)
 			}
 			if !reflect.DeepEqual(got[i].Result, want[i].Result) {
-				t.Errorf("batch=%d job %d: result diverges from per-run path:\nbatched: %+v\nsingle:  %+v",
+				t.Errorf("batch=%d job %d: result diverges from batches of one:\nbatched: %+v\nsingle:  %+v",
 					batch, i, got[i].Result, want[i].Result)
 			}
 		}
@@ -140,7 +141,7 @@ func TestBatchedRunDedupAndCache(t *testing.T) {
 
 // TestBatchedRetryFallback: an injected one-shot failure at the batch's
 // fault site fails every lane of the first batch attempt; each lane
-// must then fall back to the per-run path and succeed within the retry
+// must then be retried as a batch of one and succeed within the retry
 // budget.
 func TestBatchedRetryFallback(t *testing.T) {
 	reg := fault.New(1).Add(fault.Rule{Site: fault.SiteSimRun, Kind: fault.KindError, Limit: 1})
@@ -204,7 +205,7 @@ func TestBatchedSnapshotDirWins(t *testing.T) {
 	if len(ents) == 0 {
 		t.Error("SnapshotDir is empty: prewarm snapshot sharing was lost")
 	}
-	// And a custom Sim likewise forces the per-run path.
+	// And a custom Sim likewise forces batches of one.
 	rs, err := New(Options{BatchSize: 8, Sim: stubSim})
 	if err != nil {
 		t.Fatal(err)
@@ -235,5 +236,37 @@ func TestBatchedCancellation(t *testing.T) {
 	}
 	if m := r.Metrics(); m.Done != len(cfgs) {
 		t.Errorf("Done = %d, want %d (every slot settled)", m.Done, len(cfgs))
+	}
+}
+
+// TestRunWallFromWorkerPickup pins JobResult.Wall's definition: a
+// lane's Wall runs from when a pool worker takes its batch, not from
+// Run entry, so the second of two sequential batches does not count
+// the time it queued behind the first. The delay fault fires once per
+// sim.NewBatch, so each batch costs at least one delay.
+func TestRunWallFromWorkerPickup(t *testing.T) {
+	const delay = 100 * time.Millisecond
+	reg := fault.New(1).Add(fault.Rule{Site: fault.SiteSimRun, Kind: fault.KindDelay, Delay: delay})
+	r, err := New(Options{Workers: 1, BatchSize: 2, Faults: reg})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfgs := realConfigs(4)
+	for i := range cfgs {
+		cfgs[i].Benchmark = "gcc" // one stream: two batches of two
+	}
+	start := time.Now()
+	jrs, err := r.Run(context.Background(), cfgs)
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, jr := range jrs {
+		if jr.Err != nil {
+			t.Fatalf("job %d: %v", i, jr.Err)
+		}
+		if jr.Wall < delay || jr.Wall >= elapsed-delay {
+			t.Errorf("job %d: Wall = %v, want in [%v, %v) (its own batch only, Run took %v)", i, jr.Wall, delay, elapsed-delay, elapsed)
+		}
 	}
 }

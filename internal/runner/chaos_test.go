@@ -100,7 +100,7 @@ func TestChaosCorruptCacheEntryQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr := third.RunJob(context.Background(), stubConfig(0))
+	jr := runJob(context.Background(), third, stubConfig(0))
 	if jr.Err != nil || !jr.CacheHit {
 		t.Errorf("after quarantine+recompute, RunJob = %+v, want clean cache hit", jr)
 	}
@@ -127,7 +127,7 @@ func TestChaosCacheReadErrorIsMiss(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr := r.RunJob(context.Background(), stubConfig(0))
+	jr := runJob(context.Background(), r, stubConfig(0))
 	if jr.Err != nil || jr.CacheHit {
 		t.Fatalf("RunJob under read fault = %+v, want fresh simulation", jr)
 	}
@@ -152,7 +152,7 @@ func TestChaosCacheWriteErrorDoesNotFailJob(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr := r.RunJob(context.Background(), stubConfig(0))
+	jr := runJob(context.Background(), r, stubConfig(0))
 	if jr.Err != nil {
 		t.Fatalf("job failed on a cache-write error: %v", jr.Err)
 	}
@@ -200,7 +200,7 @@ func TestFatalErrorSkipsRetries(t *testing.T) {
 		calls.Add(1)
 		return sim.Result{}, fmt.Errorf("attempt: %w", sim.ErrBudget)
 	}
-	jr := r.RunJob(context.Background(), stubConfig(0))
+	jr := runJob(context.Background(), r, stubConfig(0))
 	if jr.Err == nil || !errors.Is(jr.Err, sim.ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget surfaced", jr.Err)
 	}
@@ -226,7 +226,7 @@ func TestBackoffBetweenRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := time.Now()
-	jr := r.RunJob(context.Background(), stubConfig(0))
+	jr := runJob(context.Background(), r, stubConfig(0))
 	elapsed := time.Since(start)
 	if jr.Attempts != 3 {
 		t.Fatalf("attempts = %d, want 3", jr.Attempts)
@@ -246,7 +246,7 @@ func TestBackoffBetweenRetries(t *testing.T) {
 		t.Fatal(err)
 	}
 	start = time.Now()
-	jr = slow.RunJob(ctx, stubConfig(1))
+	jr = runJob(ctx, slow, stubConfig(1))
 	if !errors.Is(jr.Err, context.DeadlineExceeded) {
 		t.Errorf("err = %v, want DeadlineExceeded", jr.Err)
 	}
@@ -350,7 +350,7 @@ func TestChaosPanicInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jr := r.RunJob(context.Background(), stubConfig(0))
+	jr := runJob(context.Background(), r, stubConfig(0))
 	if jr.Err != nil {
 		t.Fatalf("job failed despite retry: %v", jr.Err)
 	}

@@ -19,8 +19,8 @@ func groupedConfigs() []sim.Config {
 	return append(cfgs, solo)
 }
 
-// TestRunGroupedDispatch pins stream-grouped dispatch on the per-run
-// path: jobs run grouped by stream in order of first appearance,
+// TestRunGroupedDispatch pins stream-grouped dispatch of batches of
+// one: jobs run grouped by stream in order of first appearance,
 // results come back in submission order bit-identical to cold runs at
 // any worker count, and only members of multi-job groups use the
 // prewarm cache.
@@ -90,19 +90,19 @@ func TestRunDispatchOrder(t *testing.T) {
 	}
 }
 
-// TestRunJobBypassesPrewarmCache pins that single jobs — RunJob, the
-// service's path — never pay for recording a prefix.
+// TestRunJobBypassesPrewarmCache pins that single jobs — a Run of one,
+// the service's path — never pay for recording a prefix.
 func TestRunJobBypassesPrewarmCache(t *testing.T) {
 	r, err := New(Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, cfg := range realConfigs(4) {
-		if jr := r.RunJob(context.Background(), cfg); jr.Err != nil {
+		if jr := runJob(context.Background(), r, cfg); jr.Err != nil {
 			t.Fatal(jr.Err)
 		}
 	}
 	if m := r.Metrics(); m.PrewarmHits != 0 || m.PrewarmMisses != 0 {
-		t.Errorf("RunJob touched the prewarm cache: %d hits, %d misses", m.PrewarmHits, m.PrewarmMisses)
+		t.Errorf("Run of one touched the prewarm cache: %d hits, %d misses", m.PrewarmHits, m.PrewarmMisses)
 	}
 }

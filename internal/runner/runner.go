@@ -11,9 +11,18 @@
 // submitted twice, even by different experiments sharing one Runner,
 // simulate once — and an optional on-disk JSON store, so re-running
 // figures or resuming an interrupted sweep skips already-simulated
-// points. Run dispatches each call's jobs grouped by the stream they
-// read, and jobs of a group of two or more share one functional
-// prewarm drain through the runner's sim.PrewarmCache.
+// points.
+//
+// Run is the one scheduler. Single jobs (RunOne, the service's gulps),
+// figure passes and lockstep sweeps all take the same path: claim or
+// join a memo entry per job, group the owned jobs by the stream they
+// read, cut the groups into batches of Options.BatchSize jobs (one when
+// batching is off), and fan the batches across the pool. A batch of two
+// or more steps in lockstep through sim.RunBatch; a batch of one whose
+// stream group has two or more members shares one functional prewarm
+// drain through the runner's sim.PrewarmCache. A job's
+// JobResult.Wall runs from when a worker takes its batch to when it
+// settles.
 //
 // Jobs are individually robust: a panicking simulation surfaces as that
 // job's error rather than crashing the process, failed jobs retry a
@@ -73,9 +82,9 @@ type Options struct {
 	// BatchSize cache-missing jobs as one lockstep sim.RunBatch instead
 	// of one simulation at a time, sharing stream generation and the
 	// functional prewarm between compatible lanes. Results stay
-	// bit-identical to the per-run path and are still content-keyed,
+	// bit-identical to batches of one and are still content-keyed,
 	// memoized, cached, and returned in submission order; a retryable
-	// lane failure falls back to per-run retries. Ignored when Sim
+	// lane failure is retried as a batch of one. Ignored when Sim
 	// replaces the simulator or SnapshotDir is set — snapshot prewarm
 	// sharing and lockstep batching are mutually exclusive, and the
 	// snapshot path wins so resumable sweeps keep their checkpoints.
@@ -148,8 +157,8 @@ type Metrics struct {
 
 	// PrewarmHits and PrewarmMisses count simulations that replayed a
 	// shared prewarm prefix and that drained one from the generator
-	// (sim.PrewarmCache); jobs outside a multi-job stream group touch
-	// neither.
+	// (sim.PrewarmCache); jobs outside a multi-job stream group, and
+	// every job of a BatchSize > 1 runner, touch neither.
 	PrewarmHits   int `json:"prewarm_hits"`
 	PrewarmMisses int `json:"prewarm_misses"`
 }
@@ -168,10 +177,14 @@ type JobResult struct {
 	Config   sim.Config
 	Result   sim.Result
 	Err      error
-	CacheHit bool          // served from the on-disk cache
-	MemoHit  bool          // deduplicated against an identical job
-	Wall     time.Duration // time spent producing the result
-	Attempts int           // simulation attempts (0 for memo hits and skips)
+	CacheHit bool // served from the on-disk cache
+	MemoHit  bool // deduplicated against an identical job
+	Attempts int  // simulation attempts (0 for memo hits and skips)
+	// Wall runs from when a pool worker takes the job's batch to when
+	// the job settles; a job no worker took — a memo join, or one
+	// cancelled before dispatch — is timed from Run entry. A lockstep
+	// lane's Wall spans its batch's run, not the time the batch queued.
+	Wall time.Duration
 }
 
 // Runner schedules simulation jobs onto a worker pool.
@@ -183,13 +196,14 @@ type Runner struct {
 	onTerminal func(key string, cfg sim.Config, err error)
 	store      Store
 
-	// batch is the lockstep lanes per worker (1 = per-run path) and
-	// runOpts the options handed to sim.RunBatch on the batched path.
+	// batch is the lockstep lanes per batch (1 = every job alone) and
+	// runOpts the options of the default simulator.
 	batch   int
 	runOpts sim.RunOpts
-	// prewarm is shared by Run's jobs whose stream group has two or
-	// more members; nil when Sim or SnapshotDir replaces the default
-	// simulator.
+	// prewarm is shared by Run's batches of one whose stream group has
+	// two or more members; nil when Sim or SnapshotDir replaces the
+	// default simulator, or when lockstep batches share their streams
+	// themselves (batch > 1).
 	prewarm *sim.PrewarmCache
 
 	// sim runs one simulation; tests substitute instrumented stubs.
@@ -252,7 +266,7 @@ func New(opts Options) (*Runner, error) {
 		backoff = 0
 	}
 	var prewarm *sim.PrewarmCache
-	if opts.Sim == nil && opts.SnapshotDir == "" {
+	if batch == 1 && opts.Sim == nil && opts.SnapshotDir == "" {
 		prewarm = sim.NewPrewarmCache()
 	}
 	r := &Runner{
@@ -338,181 +352,199 @@ func (r *Runner) snapshotLocked() Metrics {
 // JobResult.Err; the returned error is non-nil only when ctx was
 // cancelled, in which case undispatched jobs carry ctx's error.
 //
-// Jobs are dispatched grouped by stream (sim.StreamGroups), groups in
-// order of first appearance, so the members of a group run back to
-// back and share their prewarm prefix.
+// Run is the runner's only scheduler. It claims or joins a memo entry
+// per job in submission order, groups the owned jobs by stream
+// (sim.StreamGroups, groups in order of first appearance), cuts them
+// into batches of BatchSize jobs, and fans the batches across the pool
+// with Parallel; doBatch settles each one.
 func (r *Runner) Run(ctx context.Context, cfgs []sim.Config) ([]JobResult, error) {
-	if r.batch > 1 {
-		return r.runBatched(ctx, cfgs)
-	}
+	start := time.Now()
 	results := make([]JobResult, len(cfgs))
 	r.mu.Lock()
 	r.metrics.Submitted += len(cfgs)
 	r.mu.Unlock()
+	// settle finishes a job no pool worker took, timed from Run entry.
+	settle := func(jr *JobResult) {
+		jr.Wall = time.Since(start)
+		r.finish(jr)
+	}
 
-	order := make([]int, 0, len(cfgs))
-	shared := make([]bool, len(cfgs))
-	for _, g := range sim.StreamGroups(cfgs) {
-		order = append(order, g...)
-		for _, i := range g {
-			shared[i] = len(g) > 1
+	// Claim or join a memo entry per job, in submission order, so a
+	// duplicate rides the first occurrence of its config.
+	var owned, joined []*job
+	for i, cfg := range cfgs {
+		jr := &results[i]
+		jr.Config = cfg
+		if err := ctx.Err(); err != nil {
+			jr.Err = err
+			settle(jr)
+			continue
+		}
+		key, err := Key(cfg)
+		if err != nil {
+			jr.Err = fmt.Errorf("runner: keying %s config: %w", cfg.Benchmark, err)
+			settle(jr)
+			continue
+		}
+		r.mu.Lock()
+		entry, inFlight := r.memo[key]
+		if !inFlight {
+			entry = &memoEntry{done: make(chan struct{})}
+			r.memo[key] = entry
+		}
+		r.mu.Unlock()
+		j := &job{jr: jr, key: key, entry: entry}
+		if inFlight {
+			joined = append(joined, j)
+		} else {
+			owned = append(owned, j)
 		}
 	}
 
-	workers := r.workers
-	if workers > len(cfgs) {
-		workers = len(cfgs)
-	}
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				results[i] = r.do(ctx, cfgs[i], shared[i])
-			}
-		}()
-	}
-dispatch:
-	for _, i := range order {
+	batches := r.batches(owned)
+	// doBatch settles its jobs itself; Parallel's only error is ctx's.
+	_ = Parallel(ctx, r.workers, len(batches), func(i int) error {
+		r.doBatch(ctx, batches[i])
+		return nil
+	})
+
+	// Batches no worker took: settle their jobs as cancelled and
+	// publish their memo entries, so no duplicate waits forever on an
+	// execution that will not happen.
+	for _, j := range owned {
 		select {
-		case idx <- i:
+		case <-j.entry.done:
+		default:
+			j.entry.err = ctx.Err()
+			close(j.entry.done)
+			j.jr.Err = j.entry.err
+			settle(j.jr)
+		}
+	}
+	// Duplicates: their execution is finished (above or in another
+	// concurrent Run), or ctx is gone.
+	for _, j := range joined {
+		select {
+		case <-j.entry.done:
+			j.jr.Result, j.jr.Err = j.entry.res, j.entry.err
+			j.jr.MemoHit = true
 		case <-ctx.Done():
-			break dispatch
+			j.jr.Err = ctx.Err()
 		}
+		settle(j.jr)
 	}
-	close(idx)
-	wg.Wait()
-
-	if err := ctx.Err(); err != nil {
-		// Jobs the dispatcher never handed out are still zero values;
-		// mark them cancelled so callers see every slot accounted for.
-		for i := range results {
-			if results[i].Err == nil && results[i].Attempts == 0 && !results[i].MemoHit && !results[i].CacheHit {
-				results[i].Config = cfgs[i]
-				results[i].Err = err
-				r.finish(&results[i])
-			}
-		}
-		return results, err
-	}
-	return results, nil
+	return results, ctx.Err()
 }
 
-// RunOne executes a single config synchronously on the calling
-// goroutine, still going through the memo and cache.
+// RunOne runs a single config as a Run of one, still going through the
+// memo and cache.
 func (r *Runner) RunOne(ctx context.Context, cfg sim.Config) (sim.Result, error) {
-	jr := r.RunJob(ctx, cfg)
-	return jr.Result, jr.Err
+	jrs, _ := r.Run(ctx, []sim.Config{cfg})
+	return jrs[0].Result, jrs[0].Err
 }
 
-// RunJob is RunOne returning the full JobResult, so embedders like the
-// HTTP service can report cache/memo provenance and wall time per job.
-func (r *Runner) RunJob(ctx context.Context, cfg sim.Config) JobResult {
-	r.mu.Lock()
-	r.metrics.Submitted++
-	r.mu.Unlock()
-	return r.do(ctx, cfg, false)
+// job is one submitted config's scheduling state inside Run: its
+// result slot, content key, the memo entry it owns or joined, and
+// whether its stream group has two or more members.
+type job struct {
+	jr     *JobResult
+	key    string
+	entry  *memoEntry
+	shared bool
 }
 
-// do produces the result for one job: memo, then disk cache, then a
-// simulation with panic recovery and bounded retry. It records metrics
-// and fires the progress callback exactly once per job. shared routes
-// the simulation through the runner's prewarm cache.
-func (r *Runner) do(ctx context.Context, cfg sim.Config, shared bool) JobResult {
-	jr := JobResult{Config: cfg}
-	started := time.Now()
-	var (
-		key   string
-		owner bool
-	)
-	settle := func() JobResult {
-		jr.Wall = time.Since(started)
-		if owner && r.onTerminal != nil {
-			// Owned jobs only: duplicates riding the memo would journal
-			// the same key again with no new information.
-			r.onTerminal(key, cfg, jr.Err)
-		}
-		r.finish(&jr)
-		return jr
+// batches groups owned jobs by stream and cuts them into batches of
+// r.batch jobs, so lanes that can share one stream land in one batch.
+// Submission order is kept within a group and groups keep their order
+// of first appearance, so a sweep that is already grouped
+// (benchmark-major) batches exactly as submitted.
+func (r *Runner) batches(jobs []*job) [][]*job {
+	cfgs := make([]sim.Config, len(jobs))
+	for i, j := range jobs {
+		cfgs[i] = j.jr.Config
 	}
+	grouped := make([]*job, 0, len(jobs))
+	for _, g := range sim.StreamGroups(cfgs) {
+		for _, i := range g {
+			jobs[i].shared = len(g) > 1
+			grouped = append(grouped, jobs[i])
+		}
+	}
+	var out [][]*job
+	for len(grouped) > 0 {
+		n := min(r.batch, len(grouped))
+		out = append(out, grouped[:n])
+		grouped = grouped[n:]
+	}
+	return out
+}
 
+// doBatch settles one batch on the pool worker that took it: store
+// lookups first, then one simulate call over the misses, retries for
+// each retryable lane failure, and a store checkpoint per success.
+// Every job's memo entry is published exactly once, and every job's
+// Wall is timed from when the worker took the batch.
+func (r *Runner) doBatch(ctx context.Context, jobs []*job) {
+	taken := time.Now()
+	settle := func(j *job) {
+		close(j.entry.done)
+		j.jr.Wall = time.Since(taken)
+		if r.onTerminal != nil {
+			r.onTerminal(j.key, j.jr.Config, j.jr.Err)
+		}
+		r.finish(j.jr)
+	}
+	var run []*job
+	for _, j := range jobs {
+		if r.store != nil {
+			if res, ok := r.store.Get(j.key); ok {
+				j.entry.res = res
+				j.jr.Result, j.jr.CacheHit = res, true
+				settle(j)
+				continue
+			}
+		}
+		run = append(run, j)
+	}
+	if len(run) == 0 {
+		return
+	}
 	if err := ctx.Err(); err != nil {
-		jr.Err = err
-		return settle()
-	}
-
-	k, err := Key(cfg)
-	if err != nil {
-		jr.Err = fmt.Errorf("runner: keying %s config: %w", cfg.Benchmark, err)
-		return settle()
-	}
-	key = k
-
-	r.mu.Lock()
-	entry, inFlight := r.memo[key]
-	if !inFlight {
-		entry = &memoEntry{done: make(chan struct{})}
-		r.memo[key] = entry
-	}
-	r.mu.Unlock()
-
-	if inFlight {
-		select {
-		case <-entry.done:
-			jr.Result, jr.Err = entry.res, entry.err
-			jr.MemoHit = true
-		case <-ctx.Done():
-			jr.Err = ctx.Err()
+		for _, j := range run {
+			j.entry.err, j.jr.Err = err, err
+			settle(j)
 		}
-		return settle()
+		return
 	}
 
-	// This goroutine owns the entry: fill it from disk or by simulating,
-	// then publish for any duplicates waiting above.
-	owner = true
-	defer close(entry.done)
-
-	if r.store != nil {
-		if res, ok := r.store.Get(key); ok {
-			entry.res = res
-			jr.Result, jr.CacheHit = res, true
-			return settle()
+	res, errs := r.simulate(ctx, run)
+	for i, j := range run {
+		j.jr.Attempts = 1
+		laneRes, err := r.retryFailed(ctx, j, res[i], errs[i])
+		if err != nil {
+			j.entry.err = fmt.Errorf("runner: %s: %w", j.jr.Config.Benchmark, err)
+			j.jr.Err = j.entry.err
+		} else {
+			j.entry.res, j.jr.Result = laneRes, laneRes
+			if r.store != nil {
+				// Checkpoint before reporting done so a cancellation
+				// right after this job still finds the result in the
+				// store next run. A store write failure is not a job
+				// failure — the result itself is good — so it is
+				// deliberately dropped.
+				_ = r.store.Put(j.key, j.jr.Config, laneRes)
+			}
 		}
+		settle(j)
 	}
-
-	if err := ctx.Err(); err != nil {
-		entry.err = err
-		jr.Err = err
-		return settle()
-	}
-	jr.Attempts = 1
-	res, err := r.simulate(ctx, cfg, shared)
-	if res, err = r.retryFailed(ctx, cfg, shared, &jr, res, err); err != nil {
-		entry.err = fmt.Errorf("runner: %s: %w", cfg.Benchmark, err)
-		jr.Err = entry.err
-		return settle()
-	}
-	entry.res = res
-	jr.Result = res
-	if r.store != nil {
-		// Checkpoint before reporting done so a cancellation right after
-		// this job still finds the result in the store next run. A store
-		// write failure is not a job failure — the result itself is
-		// good — so it is deliberately dropped.
-		_ = r.store.Put(key, cfg, res)
-	}
-	return settle()
 }
 
-// retryFailed re-runs a retryable failure on the per-run simulator up
-// to the runner's retry budget, waiting retry.Backoff between attempts.
-// res and err are the outcome of the job's first attempt — a per-run
-// simulation or a batch lane — which jr.Attempts already counts. It
-// returns the first success or the last error; a cancellation while
-// waiting returns ctx's error.
-func (r *Runner) retryFailed(ctx context.Context, cfg sim.Config, shared bool, jr *JobResult, res sim.Result, err error) (sim.Result, error) {
+// retryFailed re-runs a retryable failure as a batch of one, up to the
+// runner's retry budget, waiting retry.Backoff between attempts. res
+// and err are the outcome of the job's first attempt, which
+// j.jr.Attempts already counts. It returns the first success or the
+// last error; a cancellation while waiting returns ctx's error.
+func (r *Runner) retryFailed(ctx context.Context, j *job, res sim.Result, err error) (sim.Result, error) {
 	for attempt := 0; err != nil && attempt < r.retries && Retryable(err); attempt++ {
 		r.mu.Lock()
 		r.metrics.Retries++
@@ -520,27 +552,48 @@ func (r *Runner) retryFailed(ctx context.Context, cfg sim.Config, shared bool, j
 		if !retry.Backoff(ctx, r.backoff, attempt) {
 			return sim.Result{}, ctx.Err()
 		}
-		jr.Attempts++
-		res, err = r.simulate(ctx, cfg, shared)
+		j.jr.Attempts++
+		rs, errs := r.simulate(ctx, []*job{j})
+		res, err = rs[0], errs[0]
 	}
 	return res, err
 }
 
-// simulate runs one simulation, converting a panic into an error so a
-// bad design point cannot take down a thousand-point sweep. shared
-// runs it with the runner's prewarm cache, when there is one.
-func (r *Runner) simulate(ctx context.Context, cfg sim.Config, shared bool) (res sim.Result, err error) {
+// simulate runs one attempt of a batch, converting a panic into one
+// error per lane so a bad design point cannot take down a
+// thousand-point sweep; retries isolate a genuinely poisonous config
+// to its own job. Two or more jobs step in lockstep through
+// sim.RunBatch. A batch of one runs r.sim, or, when its stream group
+// has two or more members, replays its prewarm prefix through the
+// runner's prewarm cache.
+func (r *Runner) simulate(ctx context.Context, jobs []*job) (res []sim.Result, errs []error) {
 	defer func() {
 		if p := recover(); p != nil {
-			err = fmt.Errorf("simulation panicked: %v\n%s", p, debug.Stack())
+			err := fmt.Errorf("simulation panicked: %v\n%s", p, debug.Stack())
+			res = make([]sim.Result, len(jobs))
+			errs = make([]error, len(jobs))
+			for i := range errs {
+				errs[i] = err
+			}
 		}
 	}()
-	if shared && r.prewarm != nil {
+	if len(jobs) > 1 {
+		cfgs := make([]sim.Config, len(jobs))
+		for i, j := range jobs {
+			cfgs[i] = j.jr.Config
+		}
+		return sim.RunBatch(ctx, cfgs, r.runOpts)
+	}
+	var one sim.Result
+	var err error
+	if j := jobs[0]; j.shared && r.prewarm != nil {
 		opts := r.runOpts
 		opts.Prewarm = r.prewarm
-		return sim.RunContext(ctx, cfg, opts)
+		one, err = sim.RunContext(ctx, j.jr.Config, opts)
+	} else {
+		one, err = r.sim(ctx, j.jr.Config)
 	}
-	return r.sim(ctx, cfg)
+	return []sim.Result{one}, []error{err}
 }
 
 // finish folds one completed job into the metrics and fires the

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -434,42 +435,95 @@ func TestAddListener(t *testing.T) {
 	}
 }
 
-// TestRunJobProvenance checks the exported single-job API reports
-// cache/memo provenance the way Run's batch results do.
+// TestRunJobProvenance checks that a Run of one, a Run at BatchSize 1
+// and a lockstep Run at BatchSize 4 report the same Result and the
+// same provenance — fresh simulation, then a memo hit on the same
+// runner, then a store hit on a fresh runner over the same store.
 func TestRunJobProvenance(t *testing.T) {
-	var sims atomic.Int64
-	r, err := New(Options{Workers: 2, CacheDir: t.TempDir(), Sim: func(ctx context.Context, cfg sim.Config) (sim.Result, error) {
-		sims.Add(1)
-		return stubSim(ctx, cfg)
-	}})
-	if err != nil {
-		t.Fatal(err)
+	cfgs := realConfigs(4)
+	type outcome struct {
+		res               sim.Result
+		cacheHit, memoHit bool
+		attempts          int
 	}
+	cases := []struct {
+		name  string
+		batch int
+		run   func(r *Runner) []JobResult
+	}{
+		{"run-of-one", 1, func(r *Runner) []JobResult {
+			jrs := make([]JobResult, len(cfgs))
+			for i, cfg := range cfgs {
+				jrs[i] = runJob(context.Background(), r, cfg)
+			}
+			return jrs
+		}},
+		{"run-batch1", 1, func(r *Runner) []JobResult {
+			jrs, err := r.Run(context.Background(), cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return jrs
+		}},
+		{"run-batch4", 4, func(r *Runner) []JobResult {
+			jrs, err := r.Run(context.Background(), cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return jrs
+		}},
+	}
+	steps := []struct {
+		name string
+		want outcome // Result is compared across cases, not here
+	}{
+		{"fresh", outcome{attempts: 1}},
+		{"memo", outcome{memoHit: true}},
+		{"store", outcome{cacheHit: true}},
+	}
+	var ref [][]outcome // [step][job] of the first case
+	for _, tc := range cases {
+		store := NewMemStore()
+		r, err := New(Options{Workers: 2, BatchSize: tc.batch, Store: store})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.BatchSize() != tc.batch {
+			t.Fatalf("%s: BatchSize() = %d, want %d", tc.name, r.BatchSize(), tc.batch)
+		}
+		var got [][]outcome
+		for si, step := range steps {
+			if si == 2 {
+				if r, err = New(Options{Workers: 2, BatchSize: tc.batch, Store: store}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var row []outcome
+			for i, jr := range tc.run(r) {
+				if jr.Err != nil {
+					t.Fatalf("%s %s job %d: %v", tc.name, step.name, i, jr.Err)
+				}
+				o := outcome{jr.Result, jr.CacheHit, jr.MemoHit, jr.Attempts}
+				if w := step.want; o.cacheHit != w.cacheHit || o.memoHit != w.memoHit || o.attempts != w.attempts {
+					t.Errorf("%s %s job %d: CacheHit %v MemoHit %v Attempts %d, want %v %v %d",
+						tc.name, step.name, i, o.cacheHit, o.memoHit, o.attempts, w.cacheHit, w.memoHit, w.attempts)
+				}
+				row = append(row, o)
+			}
+			got = append(got, row)
+		}
+		if ref == nil {
+			ref = got
+			continue
+		}
+		if !reflect.DeepEqual(got, ref) {
+			t.Errorf("%s: outcomes differ from %s:\n got %+v\nwant %+v", tc.name, cases[0].name, got, ref)
+		}
+	}
+}
 
-	jr := r.RunJob(context.Background(), stubConfig(1))
-	if jr.Err != nil || jr.CacheHit || jr.MemoHit || jr.Attempts != 1 {
-		t.Fatalf("first RunJob = %+v, want one fresh simulation", jr)
-	}
-
-	// Same process, same config: the memo answers.
-	jr = r.RunJob(context.Background(), stubConfig(1))
-	if jr.Err != nil || !jr.MemoHit {
-		t.Fatalf("second RunJob = %+v, want memo hit", jr)
-	}
-
-	// A new runner over the same cache dir: the disk answers.
-	r2, err := New(Options{Workers: 2, CacheDir: r.store.(*Cache).dir, Sim: func(ctx context.Context, cfg sim.Config) (sim.Result, error) {
-		t.Error("disk-cached job re-simulated")
-		return stubSim(ctx, cfg)
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	jr = r2.RunJob(context.Background(), stubConfig(1))
-	if jr.Err != nil || !jr.CacheHit {
-		t.Fatalf("RunJob on fresh runner = %+v, want disk cache hit", jr)
-	}
-	if sims.Load() != 1 {
-		t.Errorf("simulated %d times across runners, want 1", sims.Load())
-	}
+// runJob runs cfg as a Run of one.
+func runJob(ctx context.Context, r *Runner, cfg sim.Config) JobResult {
+	jrs, _ := r.Run(ctx, []sim.Config{cfg})
+	return jrs[0]
 }

@@ -276,13 +276,13 @@ func TestRunnerWithRemoteStore(t *testing.T) {
 		return r, &sims
 	}
 	r1, sims1 := mk()
-	jr := r1.RunJob(context.Background(), stubConfig(1))
+	jr := runJob(context.Background(), r1, stubConfig(1))
 	if jr.Err != nil || jr.CacheHit || sims1.Load() != 1 {
 		t.Fatalf("first worker: %+v sims=%d, want one fresh simulation", jr, sims1.Load())
 	}
 
 	r2, sims2 := mk()
-	jr2 := r2.RunJob(context.Background(), stubConfig(1))
+	jr2 := runJob(context.Background(), r2, stubConfig(1))
 	if jr2.Err != nil || !jr2.CacheHit || sims2.Load() != 0 {
 		t.Fatalf("second worker: %+v sims=%d, want a shared-store hit and zero simulations", jr2, sims2.Load())
 	}

@@ -30,10 +30,10 @@ func realBatchConfig(i int) sim.Config {
 	}
 }
 
-// TestServiceBatchedDrain exercises the BatchSize worker loop end to
-// end: a burst of submissions is drained into lockstep batches, every
-// job completes, and each result is bit-identical to a direct
-// single-run simulation of the same config.
+// TestServiceBatchedDrain exercises the worker loop over a runner of
+// BatchSize 4 end to end: a burst of submissions is drained into
+// lockstep batches, every job completes, and each result is
+// bit-identical to a direct single-run simulation of the same config.
 func TestServiceBatchedDrain(t *testing.T) {
 	r, err := runner.New(runner.Options{Workers: 1, BatchSize: 4})
 	if err != nil {
@@ -45,8 +45,8 @@ func TestServiceBatchedDrain(t *testing.T) {
 		defer cancel()
 		_ = svc.Shutdown(ctx)
 	})
-	if svc.opts.BatchSize != 4 {
-		t.Fatalf("service BatchSize = %d, want 4 adopted from the runner", svc.opts.BatchSize)
+	if r.BatchSize() != 4 {
+		t.Fatalf("runner BatchSize = %d, want 4", r.BatchSize())
 	}
 
 	const n = 6
@@ -89,10 +89,10 @@ func TestServiceBatchedDrain(t *testing.T) {
 	}
 }
 
-// TestServiceBatchSizeOneKeepsClassicLoop pins the opt-in default: a
-// plain runner yields BatchSize 1, so the worker loop's gulps hold one
-// job each and run one job at a time through RunJob.
-func TestServiceBatchSizeOneKeepsClassicLoop(t *testing.T) {
+// TestServiceBatchSizeOneDrainsGulpsOfOne pins the default: a plain
+// runner yields BatchSize 1, so the worker loop's gulps hold one job
+// each, and each runs as a Run of one.
+func TestServiceBatchSizeOneDrainsGulpsOfOne(t *testing.T) {
 	r, err := runner.New(runner.Options{Workers: 2, Sim: stubSim})
 	if err != nil {
 		t.Fatal(err)
@@ -103,7 +103,24 @@ func TestServiceBatchSizeOneKeepsClassicLoop(t *testing.T) {
 		defer cancel()
 		_ = svc.Shutdown(ctx)
 	})
-	if svc.opts.BatchSize != 1 {
-		t.Fatalf("service BatchSize = %d, want 1", svc.opts.BatchSize)
+	if r.BatchSize() != 1 {
+		t.Fatalf("runner BatchSize = %d, want 1", r.BatchSize())
+	}
+	jv, _, err := svc.Submit(realBatchConfig(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for jv.State != StateDone {
+		if jv.State == StateFailed || time.Now().After(deadline) {
+			t.Fatalf("job in state %s (%s), want done", jv.State, jv.Error)
+		}
+		time.Sleep(5 * time.Millisecond)
+		if jv, err = svc.Job(jv.ID); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if m := r.Metrics(); m.Submitted != 1 || m.Simulated != 1 {
+		t.Errorf("runner metrics = %+v, want one job submitted and simulated", m)
 	}
 }

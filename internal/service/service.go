@@ -35,24 +35,17 @@ type Options struct {
 	// A submit that finds the queue full fails with ErrQueueFull (HTTP
 	// 429 + Retry-After). Zero selects 64.
 	QueueSize int
-	// Concurrency is how many jobs execute at once. The runner below
-	// has its own worker pool for batch calls, but the service drives
-	// it through single-job calls, so this is the effective global
+	// Concurrency is how many worker loops drain the queue at once.
+	// Each takes a gulp of up to the runner's BatchSize queued jobs and
+	// runs it as one runner.Run — one batch, stepped in lockstep when
+	// it holds two or more jobs — so this is the effective global
 	// simulation concurrency. Zero selects the runner's worker count.
 	Concurrency int
-	// JobTimeout caps one job's wall time, cancelling its context past
-	// the deadline. Zero means no per-job timeout. On the batched drain
-	// path (BatchSize > 1) the timeout spans the whole drained batch:
-	// lockstep lanes share one clock.
+	// JobTimeout caps one gulp's wall time, cancelling its context
+	// past the deadline. Zero means no timeout. The jobs of a
+	// gulp share one clock, so with a runner BatchSize above one the
+	// timeout spans the whole lockstep batch.
 	JobTimeout time.Duration
-	// BatchSize, when greater than one, lets each worker drain up to
-	// BatchSize queued jobs in one gulp and execute them as a single
-	// runner batch call, so a batch-capable runner
-	// (runner.Options.BatchSize) steps them in lockstep instead of one
-	// at a time. One runs every job alone through RunJob; zero adopts
-	// the runner's own batch size, so wiring -batch through the runner
-	// is enough.
-	BatchSize int
 	// RetryAfter is the backoff hint returned with 429 responses.
 	// Zero selects one second.
 	RetryAfter time.Duration
@@ -114,12 +107,6 @@ func (o Options) withDefaults(r *runner.Runner) Options {
 	}
 	if o.Concurrency <= 0 {
 		o.Concurrency = r.Workers()
-	}
-	if o.BatchSize == 0 {
-		o.BatchSize = r.BatchSize()
-	}
-	if o.BatchSize < 1 {
-		o.BatchSize = 1
 	}
 	if o.RetryAfter <= 0 {
 		o.RetryAfter = time.Second
@@ -370,15 +357,15 @@ func New(r *runner.Runner, opts Options) *Service {
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()
-			// Take one job (blocking), then greedily drain up to
-			// BatchSize-1 more without waiting, and run the gulp as one
-			// batch. An idle service still starts a lone job
+			// Take one job (blocking), then greedily drain up to the
+			// runner's BatchSize-1 more without waiting, and run the
+			// gulp as one batch. An idle service still starts a lone job
 			// immediately — batching never delays work to wait for
-			// companions — and a gulp of one runs through RunJob.
+			// companions.
 			for j := range s.queue {
 				batch := []*job{j}
 			drain:
-				for len(batch) < opts.BatchSize {
+				for len(batch) < r.BatchSize() {
 					select {
 					case next, ok := <-s.queue:
 						if !ok {
@@ -659,32 +646,10 @@ func (s *Service) Resume(id string) (JobView, error) {
 	return s.viewLocked(j), nil
 }
 
-// runJob executes one queued job on a worker goroutine.
-func (s *Service) runJob(j *job) {
-	s.mu.Lock()
-	j.state = StateRunning
-	s.running++
-	s.appendJobEventLocked(j, Event{Type: "state", State: StateRunning})
-	s.mu.Unlock()
-
-	ctx := s.baseCtx
-	if s.opts.JobTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, s.opts.JobTimeout)
-		defer cancel()
-	}
-	jr := s.run.RunJob(ctx, j.cfg)
-	s.settleJob(j, jr)
-}
-
-// runJobs executes a drained gulp of queued jobs as one runner batch
-// call; a gulp of one goes through runJob. Each job still settles —
-// state, breaker, latency, sweep progress — individually.
+// runJobs executes a drained gulp of queued jobs as one runner.Run
+// call. Each job still settles — state, breaker, latency, sweep
+// progress — individually.
 func (s *Service) runJobs(jobs []*job) {
-	if len(jobs) == 1 {
-		s.runJob(jobs[0])
-		return
-	}
 	s.mu.Lock()
 	for _, j := range jobs {
 		j.state = StateRunning
