@@ -84,6 +84,9 @@ func TestBatchedRunMatchesSingle(t *testing.T) {
 		if m.Simulated != len(cfgs) || m.Done != len(cfgs) {
 			t.Errorf("batch=%d: metrics = %+v, want %d simulated/done", batch, m, len(cfgs))
 		}
+		if m.PrewarmHits+m.PrewarmMisses != 0 {
+			t.Errorf("batch=%d: %d prewarm hits, %d misses; lockstep lanes must not touch the prefix cache", batch, m.PrewarmHits, m.PrewarmMisses)
+		}
 	}
 }
 

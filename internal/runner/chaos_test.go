@@ -102,7 +102,7 @@ func TestChaosCorruptCacheEntryQuarantined(t *testing.T) {
 	}
 	jr := runJob(context.Background(), third, stubConfig(0))
 	if jr.Err != nil || !jr.CacheHit {
-		t.Errorf("after quarantine+recompute, RunJob = %+v, want clean cache hit", jr)
+		t.Errorf("after quarantine+recompute, Run = %+v, want clean cache hit", jr)
 	}
 	if calls.Load() != 2 {
 		t.Errorf("rewritten entry re-simulated: %d total sims, want 2", calls.Load())
@@ -129,7 +129,7 @@ func TestChaosCacheReadErrorIsMiss(t *testing.T) {
 	}
 	jr := runJob(context.Background(), r, stubConfig(0))
 	if jr.Err != nil || jr.CacheHit {
-		t.Fatalf("RunJob under read fault = %+v, want fresh simulation", jr)
+		t.Fatalf("Run under read fault = %+v, want fresh simulation", jr)
 	}
 	if calls.Load() != 2 {
 		t.Errorf("sims = %d, want 2 (read error forced a recompute)", calls.Load())

@@ -13,16 +13,12 @@
 // figures or resuming an interrupted sweep skips already-simulated
 // points.
 //
-// Run is the one scheduler. Single jobs (RunOne, the service's gulps),
-// figure passes and lockstep sweeps all take the same path: claim or
-// join a memo entry per job, group the owned jobs by the stream they
-// read, cut the groups into batches of Options.BatchSize jobs (one when
-// batching is off), and fan the batches across the pool. A batch of two
-// or more steps in lockstep through sim.RunBatch; a batch of one whose
+// Run is the one scheduler: single jobs (RunOne, the service's gulps),
+// figure passes and lockstep sweeps all run through it as batches of
+// Options.BatchSize jobs (one when batching is off). A batch of two or
+// more steps in lockstep through sim.RunBatch; a batch of one whose
 // stream group has two or more members shares one functional prewarm
-// drain through the runner's sim.PrewarmCache. A job's
-// JobResult.Wall runs from when a worker takes its batch to when it
-// settles.
+// drain through the runner's sim.PrewarmCache.
 //
 // Jobs are individually robust: a panicking simulation surfaces as that
 // job's error rather than crashing the process, failed jobs retry a

@@ -446,32 +446,28 @@ func TestRunJobProvenance(t *testing.T) {
 		cacheHit, memoHit bool
 		attempts          int
 	}
+	run := func(r *Runner, alone bool) []JobResult {
+		if !alone {
+			jrs, err := r.Run(context.Background(), cfgs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return jrs
+		}
+		jrs := make([]JobResult, len(cfgs))
+		for i, cfg := range cfgs {
+			jrs[i] = runJob(context.Background(), r, cfg)
+		}
+		return jrs
+	}
 	cases := []struct {
 		name  string
 		batch int
-		run   func(r *Runner) []JobResult
+		alone bool // each config as its own Run of one
 	}{
-		{"run-of-one", 1, func(r *Runner) []JobResult {
-			jrs := make([]JobResult, len(cfgs))
-			for i, cfg := range cfgs {
-				jrs[i] = runJob(context.Background(), r, cfg)
-			}
-			return jrs
-		}},
-		{"run-batch1", 1, func(r *Runner) []JobResult {
-			jrs, err := r.Run(context.Background(), cfgs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return jrs
-		}},
-		{"run-batch4", 4, func(r *Runner) []JobResult {
-			jrs, err := r.Run(context.Background(), cfgs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return jrs
-		}},
+		{"run-of-one", 1, true},
+		{"run-batch1", 1, false},
+		{"run-batch4", 4, false},
 	}
 	steps := []struct {
 		name string
@@ -499,7 +495,7 @@ func TestRunJobProvenance(t *testing.T) {
 				}
 			}
 			var row []outcome
-			for i, jr := range tc.run(r) {
+			for i, jr := range run(r, tc.alone) {
 				if jr.Err != nil {
 					t.Fatalf("%s %s job %d: %v", tc.name, step.name, i, jr.Err)
 				}
