@@ -120,16 +120,20 @@ fuzz:
 # (use BENCH_COUNT=10 with benchstat for before/after comparisons). The
 # raw output lands in bench.out and a machine-readable summary —
 # ns/op, allocs/op, insts/sec, plus any custom metrics — is written to
-# BENCH_<short-sha>.json for tracking across commits. When an earlier
-# BENCH_*.json is committed, benchjson prints a one-line
-# configs/s/core comparison against the newest one (report only; CI's
-# bench-batch job applies the soft 10% gate).
+# BENCH_<short-sha>.json for tracking across commits. Exactly one
+# BENCH_*.json baseline is tracked; benchjson prints a one-line
+# configs/s/core comparison against it (report only; CI's bench-batch
+# job applies the soft 10% gate). A fresh checkout gives every file
+# the same mtime, so "newest" cannot be told apart: with two tracked
+# baselines the target stops rather than pick one.
 BENCH ?= .
 BENCH_COUNT ?= 1
 bench:
+	@n=$$(git ls-files 'BENCH_*.json' | wc -l); if [ "$$n" -gt 1 ]; then \
+		echo "bench: $$n BENCH_*.json baselines are tracked; keep exactly one (git rm the others)" >&2; exit 1; fi
 	$(GO) test -run '^$$' -bench='$(BENCH)' -benchmem -count=$(BENCH_COUNT) | tee bench.out
 	@sha=$$(git rev-parse --short HEAD); \
-	base=$$(git ls-files 'BENCH_*.json' | xargs -r ls -t 2>/dev/null | head -1); \
+	base=$$(git ls-files 'BENCH_*.json'); \
 	$(GO) run ./cmd/benchjson -commit $$sha $${base:+-baseline $$base} < bench.out > BENCH_$$sha.json; \
 	echo "wrote BENCH_$$sha.json"
 

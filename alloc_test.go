@@ -4,13 +4,13 @@ package hbcache_test
 // function here runs millions of times per simulated second; a single
 // heap allocation per call regresses whole-simulation throughput by
 // integer factors, so each is pinned at exactly zero allocs per call
-// once the machine reaches steady state. Construction-time allocation
-// is fine — only the per-call paths are pinned.
+// once the machine reaches steady state. Construction is pinned only
+// by size: a batch builds each lane no bigger than a single run.
 
 import (
-	"testing"
-
 	"context"
+	"runtime"
+	"testing"
 
 	"hbcache/internal/cpu"
 	"hbcache/internal/mem"
@@ -178,6 +178,38 @@ func TestBatchStepAllocFree(t *testing.T) {
 	}
 	if b.Active() != len(cfgs) {
 		t.Fatalf("Active() = %d, want %d", b.Active(), len(cfgs))
+	}
+}
+
+// TestBatchConstructionBytes pins what building a batch costs: a
+// sixteen-lane sim.NewBatch over the BenchmarkBatchSweep design space
+// allocates at most 1.1x the bytes of sixteen NewBatches of one. Each
+// lane's hierarchy and core are built once, as a single run builds
+// them; a second, repacked copy of every lane's tag storage would read
+// about 2x.
+func TestBatchConstructionBytes(t *testing.T) {
+	allocated := func(cfgss ...[]sim.Config) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for _, cfgs := range cfgss {
+			b, err := sim.NewBatch(context.Background(), cfgs, sim.RunOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.Close()
+		}
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	cfgs := batchSweepConfigs()
+	var ones [][]sim.Config
+	for _, cfg := range cfgs {
+		ones = append(ones, []sim.Config{cfg})
+	}
+	batch, single := allocated(cfgs), allocated(ones...)
+	if float64(batch) > 1.1*float64(single) {
+		t.Errorf("NewBatch of %d lanes allocated %d bytes, %.2fx the %d of %d batches of one; want at most 1.1x",
+			len(cfgs), batch, float64(batch)/float64(single), single, len(cfgs))
 	}
 }
 

@@ -13,8 +13,6 @@ package hbcache_test
 import (
 	"context"
 	"fmt"
-	"os"
-	"strconv"
 	"sync"
 	"testing"
 
@@ -38,27 +36,8 @@ func benchOpts() experiments.Options {
 		PrewarmInsts: 600_000,
 		WarmupInsts:  20_000,
 		MeasureInsts: 120_000,
-		Runner:       benchBatchRunner,
 	}
 }
-
-// benchBatchRunner routes the figure benchmarks through the lockstep
-// batch kernel when HBCACHE_BENCH_BATCH=N (N > 1): every experiment's
-// wave of design points is then stepped N configs per worker over
-// shared streams and prewarm state. Unset (the default) leaves the
-// figures on the classic one-config-per-worker path; Options.Runner
-// is nil and experiments falls back to its process-wide default.
-var benchBatchRunner = func() *runner.Runner {
-	n, err := strconv.Atoi(os.Getenv("HBCACHE_BENCH_BATCH"))
-	if err != nil || n <= 1 {
-		return nil
-	}
-	r, rerr := runner.New(runner.Options{BatchSize: n})
-	if rerr != nil {
-		panic(rerr)
-	}
-	return r
-}()
 
 var printOnce sync.Map
 

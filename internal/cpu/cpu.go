@@ -319,13 +319,6 @@ const budgetCheckInterval = 1024
 
 // New builds a core. reader and dmem must be non-nil.
 func New(cfg Config, reader isa.Reader, dmem DataMemory) (*CPU, error) {
-	return newCore(cfg, reader, dmem, nil)
-}
-
-// newCore builds a core, carving its window bookkeeping out of arena
-// when one is provided (the batch constructor) and allocating it
-// directly otherwise.
-func newCore(cfg Config, reader isa.Reader, dmem DataMemory, arena *coreArena) (*CPU, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
@@ -342,33 +335,25 @@ func newCore(cfg Config, reader isa.Reader, dmem DataMemory, arena *coreArena) (
 	}
 	l1, _ := dmem.(*mem.L1Cache)
 	words := (cfg.WindowSize + 63) / 64
-	if arena == nil {
-		arena = &coreArena{
-			rob: make([]entry, cfg.WindowSize),
-			u64: make([]uint64, (2+cfg.WindowSize)*words+cfg.LSQSize),
-			u8:  make([]uint8, 2*cfg.WindowSize),
-			i32: make([]int32, 2*cfg.WindowSize+wheelSpan),
-		}
-	}
 	c := &CPU{
 		cfg:       cfg,
 		reader:    reader,
 		dmem:      dmem,
 		l1:        l1,
 		pred:      pred,
-		rob:       arena.takeRob(cfg.WindowSize),
-		state:     arena.takeU8(cfg.WindowSize),
+		rob:       make([]entry, cfg.WindowSize),
+		state:     make([]uint8, cfg.WindowSize),
 		headSeq:   1,
 		nextSeq:   1,
 		maskWords: words,
-		readyMask: arena.takeU64(words),
-		portMask:  arena.takeU64(words),
-		wake:      arena.takeU64(cfg.WindowSize * words),
-		nready:    arena.takeU8(cfg.WindowSize),
-		scratch:   arena.takeI32(cfg.WindowSize),
-		wheelHead: arena.takeI32(wheelSpan),
-		wheelNext: arena.takeI32(cfg.WindowSize),
-		storeSeqs: seqRing{buf: arena.takeU64(cfg.LSQSize)},
+		readyMask: make([]uint64, words),
+		portMask:  make([]uint64, words),
+		wake:      make([]uint64, cfg.WindowSize*words),
+		nready:    make([]uint8, cfg.WindowSize),
+		scratch:   make([]int32, cfg.WindowSize),
+		wheelHead: make([]int32, wheelSpan),
+		wheelNext: make([]int32, cfg.WindowSize),
+		storeSeqs: seqRing{buf: make([]uint64, cfg.LSQSize)},
 	}
 	for i := range c.wheelHead {
 		c.wheelHead[i] = -1

@@ -3,8 +3,7 @@ package mem
 import "fmt"
 
 // This file supports the batch simulation kernel (internal/sim's
-// RunBatch): building many hierarchies with their tag storage packed
-// flat, and sharing the functional prewarm between hierarchies whose
+// RunBatch): sharing the functional prewarm between hierarchies whose
 // warm-phase state provably cannot differ.
 
 // WarmStateKey returns a grouping key over the configuration fields
@@ -93,84 +92,4 @@ func CopyWarmState(dst, src *System) error {
 		dst.DRAM.dirtySpill = cloneLines(src.DRAM.dirtySpill)
 	}
 	return nil
-}
-
-// arrays returns every tag array in the hierarchy, for batch packing.
-func (s *System) arrays() []*Array {
-	out := []*Array{s.L1.array}
-	if s.L1.victim != nil {
-		out = append(out, s.L1.victim)
-	}
-	if s.L2 != nil {
-		out = append(out, s.L2.array)
-	}
-	if s.DRAM != nil {
-		out = append(out, s.DRAM.array)
-	}
-	return out
-}
-
-// rebind moves the array's storage into caller-provided backing slices,
-// which must be exactly the current lengths. Contents carry over.
-func (a *Array) rebind(tags []uint64, meta []uint64, dirty []bool, fill []int32) {
-	copy(tags, a.tags)
-	copy(meta, a.meta)
-	copy(dirty, a.dirty)
-	copy(fill, a.fill)
-	a.tags, a.meta, a.dirty, a.fill = tags, meta, dirty, fill
-}
-
-// NewSystemBatch builds one System per config with the tag storage of
-// the whole batch repacked into contiguous per-field backing arrays
-// (structure of arrays): all tags back to back, then all metadata, and
-// so on. Behavior is identical to per-call NewSystem — only the
-// allocation layout changes, keeping a batch's hot arrays dense when
-// one goroutine steps its lanes in lockstep. Construction failures are
-// reported per index; the corresponding System is nil. A batch with
-// fewer than two Systems keeps NewSystem's storage: there is nothing
-// to pack it with.
-func NewSystemBatch(cfgs []SystemConfig) ([]*System, []error) {
-	systems := make([]*System, len(cfgs))
-	errs := make([]error, len(cfgs))
-	var nU64, nBool, nI32, built int
-	for i, cfg := range cfgs {
-		sys, err := NewSystem(cfg)
-		if err != nil {
-			errs[i] = err
-			continue
-		}
-		systems[i] = sys
-		built++
-		for _, a := range sys.arrays() {
-			nU64 += 2 * len(a.tags) // tags + meta
-			nBool += len(a.dirty)
-			nI32 += len(a.fill)
-		}
-	}
-	if built < 2 {
-		return systems, errs
-	}
-	var arrs []*Array
-	for _, sys := range systems {
-		if sys != nil {
-			arrs = append(arrs, sys.arrays()...)
-		}
-	}
-	u64 := make([]uint64, nU64)
-	bools := make([]bool, nBool)
-	i32 := make([]int32, nI32)
-	takeU64 := func(n int) []uint64 { s := u64[:n:n]; u64 = u64[n:]; return s }
-	takeBool := func(n int) []bool { s := bools[:n:n]; bools = bools[n:]; return s }
-	takeI32 := func(n int) []int32 { s := i32[:n:n]; i32 = i32[n:]; return s }
-	// Pack field-major: every lane's tags first, then every lane's
-	// metadata, and so on, so same-field accesses across lanes stay in
-	// one dense region.
-	tags := make([][]uint64, len(arrs))
-	for i, a := range arrs {
-		tags[i] = takeU64(len(a.tags))
-	}
-	for i, a := range arrs {
-		a.rebind(tags[i], takeU64(len(a.meta)), takeBool(len(a.dirty)), takeI32(len(a.fill)))
-	}
-	return systems, errs
 }

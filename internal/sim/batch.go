@@ -226,10 +226,10 @@ type Batch struct {
 	closed  bool
 }
 
-// NewBatch assembles a batch of simulations over cfgs. Lanes are
-// constructed with the batch's hierarchies and cores packed into
-// shared structure-of-arrays backing (mem.NewSystemBatch,
-// cpu.NewBatch). Per-lane configuration errors — and, for a batch of
+// NewBatch assembles a batch of simulations over cfgs. Each lane's
+// hierarchy and core are built exactly as a single run's are, with
+// mem.NewSystem and cpu.New; what lanes share is a stream ring and,
+// at prewarm, a warm-state replay. Per-lane configuration errors — and, for a batch of
 // one, an unusable RunOpts.Resume snapshot — settle that lane and
 // leave the rest of the batch to run. A global error is returned only
 // for snapshot options on a batch of two or more (snapshots are one
@@ -274,73 +274,42 @@ func NewBatch(ctx context.Context, cfgs []Config, opts RunOpts) (*Batch, error) 
 			readers[streamKeyOf(ln.cfg)]++
 		}
 	}
+	// Build every viable lane the way a single run is built. A lane
+	// on a shared stream reads it through its own ring cursor.
 	byKey := make(map[streamKey]*bstream)
 	for i := range b.lanes {
 		ln := &b.lanes[i]
 		if ln.settled {
 			continue
 		}
-		key := streamKeyOf(ln.cfg)
-		if ln.cfg.Sample != nil || opts.Resume != "" || readers[key] < 2 {
-			var err error
-			if ln.src, err = ln.cfg.newSource(); err != nil {
-				ln.fail(err)
+		var rd isa.Reader // nil: the lane reads a source of its own
+		if key := streamKeyOf(ln.cfg); ln.cfg.Sample == nil && opts.Resume == "" && readers[key] > 1 {
+			st, ok := byKey[key]
+			if !ok {
+				gen, err := ln.cfg.newSource()
+				if err != nil {
+					ln.fail(err)
+					continue
+				}
+				st = &bstream{gen: gen, limit: sourceLimit(gen), buf: make([]isa.Inst, ringInit), mask: ringInit - 1}
+				byKey[key] = st
+				b.streams = append(b.streams, st)
 			}
+			ln.src, ln.rd = st.gen, &laneReader{st: st}
+			st.lanes = append(st.lanes, ln)
+			rd = ln.rd
+		}
+		src, sys, core, err := ln.cfg.construct(rd)
+		if err != nil {
+			ln.fail(err)
 			continue
 		}
-		st, ok := byKey[key]
-		if !ok {
-			gen, err := ln.cfg.newSource()
-			if err != nil {
-				ln.fail(err)
-				continue
-			}
-			st = &bstream{gen: gen, limit: sourceLimit(gen), buf: make([]isa.Inst, ringInit), mask: ringInit - 1}
-			byKey[key] = st
-			b.streams = append(b.streams, st)
-		}
-		ln.src, ln.rd = st.gen, &laneReader{st: st}
-		st.lanes = append(st.lanes, ln)
-	}
-
-	// Build the hierarchies and cores of all viable lanes with batch
-	// (structure-of-arrays) storage.
-	var build []int
-	var memCfgs []mem.SystemConfig
-	for i := range b.lanes {
-		if !b.lanes[i].settled {
-			build = append(build, i)
-			memCfgs = append(memCfgs, b.lanes[i].cfg.Memory)
-		}
-	}
-	systems, memErrs := mem.NewSystemBatch(memCfgs)
-	coreCfgs := make([]cpu.Config, len(build))
-	coreReaders := make([]isa.Reader, len(build))
-	dmems := make([]cpu.DataMemory, len(build))
-	for j, i := range build {
-		ln := &b.lanes[i]
-		if memErrs[j] != nil {
-			ln.fail(fmt.Errorf("%w: %v", ErrInvalidConfig, memErrs[j]))
-			continue
-		}
-		coreCfgs[j], coreReaders[j], dmems[j] = ln.cfg.CPU, ln.src, systems[j].L1
-		if ln.rd != nil {
-			coreReaders[j] = ln.rd
-		}
-	}
-	cores, cpuErrs := cpu.NewBatch(coreCfgs, coreReaders, dmems)
-	for j, i := range build {
-		ln := &b.lanes[i]
-		if ln.settled {
-			continue
-		}
-		if cpuErrs[j] != nil {
-			ln.fail(fmt.Errorf("%w: %v", ErrInvalidConfig, cpuErrs[j]))
-			continue
+		if rd == nil {
+			ln.src = src
 		}
 		// Each lane owns its stop flag so one lane's invariant
 		// violation or cycle budget halts only that lane.
-		m := assembleMachine(ctx, ln.cfg, opts, new(atomic.Bool), ln.src, systems[j], cores[j])
+		m := assembleMachine(ctx, ln.cfg, opts, new(atomic.Bool), ln.src, sys, core)
 		m.done = rctx.Done()
 		if opts.Resume != "" {
 			if err := m.resume(opts.Resume); err != nil {
@@ -348,7 +317,7 @@ func NewBatch(ctx context.Context, cfgs []Config, opts RunOpts) (*Batch, error) 
 				continue
 			}
 		}
-		cores[j].SetBudget(m.stop, m.effMax)
+		core.SetBudget(m.stop, m.effMax)
 		ln.m = m
 	}
 

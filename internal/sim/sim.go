@@ -25,6 +25,7 @@ import (
 	"hbcache/internal/cpu"
 	"hbcache/internal/fault"
 	"hbcache/internal/fo4"
+	"hbcache/internal/isa"
 	"hbcache/internal/mem"
 	"hbcache/internal/workload"
 )
@@ -193,10 +194,6 @@ func (c Config) WithDefaults() Config {
 // with Run instead of failing deep inside the simulator after the
 // multi-hundred-thousand-instruction prewarm.
 func (c Config) Validate() error {
-	gen, err := c.newSource()
-	if err != nil {
-		return err
-	}
 	if c.PrewarmInsts == 0 || c.WarmupInsts == 0 || c.MeasureInsts == 0 {
 		return fmt.Errorf("%w: instruction windows must be positive, got prewarm=%d warmup=%d measure=%d (zero means \"use default\" only via WithDefaults)",
 			ErrInvalidConfig, c.PrewarmInsts, c.WarmupInsts, c.MeasureInsts)
@@ -208,14 +205,30 @@ func (c Config) Validate() error {
 	if err := c.Sample.validate(c.MeasureInsts); err != nil {
 		return err
 	}
-	sys, err := mem.NewSystem(c.Memory)
-	if err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalidConfig, err)
+	_, _, _, err := c.construct(nil)
+	return err
+}
+
+// construct builds the machine a config runs on, in order: its stream
+// source, its memory hierarchy, then its core. With rd nil the core
+// reads the new source; a batch lane on a shared stream passes its
+// ring cursor instead and gets no source of its own. Hierarchy and
+// core errors wrap ErrInvalidConfig, as source errors already do.
+// NewBatch, Validate and MachineState.Restore all build through here.
+func (c Config) construct(rd isa.Reader) (src workload.Source, sys *mem.System, core *cpu.CPU, err error) {
+	if rd == nil {
+		if src, err = c.newSource(); err != nil {
+			return nil, nil, nil, err
+		}
+		rd = src
 	}
-	if _, err := cpu.New(c.CPU, gen, sys.L1); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalidConfig, err)
+	if sys, err = mem.NewSystem(c.Memory); err != nil {
+		return nil, nil, nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
-	return nil
+	if core, err = cpu.New(c.CPU, rd, sys.L1); err != nil {
+		return nil, nil, nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
+	}
+	return src, sys, core, nil
 }
 
 // RunOpts bound one simulation run. The zero value means "no limits,

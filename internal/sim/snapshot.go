@@ -85,29 +85,17 @@ func ReadSnapshot(path string, faults *fault.Registry) (*MachineState, error) {
 // Restore builds a fresh simulation from the snapshot's embedded config
 // and imports the recorded state into it, returning the assembled
 // parts. This is the standalone form used by hbtrace to step a
-// checkpoint cycle-by-cycle; RunContext resumes through the machine
-// instead. The returned core has no budget or checker installed.
+// checkpoint cycle-by-cycle; it imports through the same
+// machine.restore a resumed RunContext uses. The returned core has no
+// budget or checker installed.
 func (st *MachineState) Restore() (*cpu.CPU, *mem.System, workload.Source, error) {
 	cfg := st.Config.WithDefaults()
-	gen, err := cfg.newSource()
+	gen, sys, core, err := cfg.construct(nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	sys, err := mem.NewSystem(cfg.Memory)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
-	}
-	core, err := cpu.New(cfg.CPU, gen, sys.L1)
-	if err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
-	}
-	if err := gen.ImportState(st.Gen); err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: %v", ErrSnapshot, err)
-	}
-	if err := sys.ImportState(st.Mem); err != nil {
-		return nil, nil, nil, fmt.Errorf("%w: %v", ErrSnapshot, err)
-	}
-	if err := core.ImportState(st.CPU); err != nil {
+	m := &machine{cfg: cfg, gen: gen, sys: sys, core: core}
+	if err := m.restore(st); err != nil {
 		return nil, nil, nil, fmt.Errorf("%w: %v", ErrSnapshot, err)
 	}
 	return core, sys, gen, nil
