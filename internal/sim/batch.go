@@ -229,11 +229,12 @@ type Batch struct {
 // NewBatch assembles a batch of simulations over cfgs. Each lane's
 // hierarchy and core are built exactly as a single run's are, with
 // mem.NewSystem and cpu.New; what lanes share is a stream ring and,
-// at prewarm, a warm-state replay. Per-lane configuration errors — and, for a batch of
-// one, an unusable RunOpts.Resume snapshot — settle that lane and
-// leave the rest of the batch to run. A global error is returned only
-// for snapshot options on a batch of two or more (snapshots are one
-// run's state) or a fault-injection failure at fault.SiteSimRun.
+// at prewarm, a warm-state replay. Per-lane configuration errors —
+// and, for a batch of one, an unusable RunOpts.Resume snapshot —
+// settle that lane and leave the rest of the batch to run. A global
+// error is returned only for snapshot options on a batch of two or
+// more (snapshots are one run's state) or a fault-injection failure at
+// fault.SiteSimRun.
 func NewBatch(ctx context.Context, cfgs []Config, opts RunOpts) (*Batch, error) {
 	if len(cfgs) > 1 && (opts.Resume != "" || opts.SnapshotPath != "" || opts.SnapshotPrewarm != "" || opts.SnapshotOnAbort != "") {
 		return nil, fmt.Errorf("%w: snapshot options are one run's state and apply only to a batch of one (use RunContext or BatchSize 1)", ErrInvalidConfig)
