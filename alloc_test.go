@@ -188,10 +188,10 @@ func TestBatchStepAllocFree(t *testing.T) {
 // them; a second, repacked copy of every lane's tag storage would read
 // about 2x.
 func TestBatchConstructionBytes(t *testing.T) {
-	allocated := func(cfgss ...[]sim.Config) uint64 {
+	allocated := func(batches ...[]sim.Config) uint64 {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		for _, cfgs := range cfgss {
+		for _, cfgs := range batches {
 			b, err := sim.NewBatch(context.Background(), cfgs, sim.RunOpts{})
 			if err != nil {
 				t.Fatal(err)
