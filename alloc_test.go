@@ -213,40 +213,78 @@ func TestBatchConstructionBytes(t *testing.T) {
 	}
 }
 
-// TestPrewarmReplayAllocFree pins the prewarm cache's hit path: a run
-// that replays a cached prefix allocates about the same whether the
-// prefix holds twenty thousand instructions or ten times as many (tens
-// of thousands more references and outcomes), so the replay loop
-// itself allocates nothing per entry. Whole runs vary by a couple of
-// allocations with their content, cold runs included, hence the small
-// slack rather than exact equality.
+// TestNewSystemBytes pins what one hierarchy costs to build:
+// BenchmarkFullSimulation's memory system (a 32 KB unsectored L1 with
+// a line buffer over the 4 MB L2) allocates at most 0.8 MB. Only a
+// sectored L1 keeps per-line metadata words; allocating them for every
+// array would put 512 KB of zeros in the L2 alone and read about
+// 1.24 MB.
+func TestNewSystemBytes(t *testing.T) {
+	cfg := mem.DefaultSRAMSystem(32<<10, 1, mem.PortConfig{Kind: mem.DuplicatePorts}, true)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sys, err := mem.NewSystem(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runtime.KeepAlive(sys)
+	if got := after.TotalAlloc - before.TotalAlloc; got > 800_000 {
+		t.Errorf("mem.NewSystem allocated %d bytes, want at most 800000", got)
+	}
+}
+
+// TestPrewarmReplayAllocFree pins the prewarm cache's hit paths: a run
+// that replays a cached prefix, and a run that applies a captured warm
+// state and replays the prefix's branch outcomes, each allocate about
+// the same whether the prefix holds twenty thousand instructions or
+// ten times as many (tens of thousands more references and outcomes),
+// so neither replay loop allocates per entry and the warm slot's
+// buffers are reused. Whole runs vary by a couple of allocations with
+// their content, cold runs included, hence the small slack rather than
+// exact equality.
 func TestPrewarmReplayAllocFree(t *testing.T) {
 	cache := sim.NewPrewarmCache()
 	opts := sim.RunOpts{Prewarm: cache}
-	hitAllocs := func(prewarm uint64) float64 {
-		cfg := sim.Config{
-			Benchmark:    "gcc",
-			Seed:         1,
-			CPU:          cpu.DefaultConfig(),
-			Memory:       mem.DefaultSRAMSystem(32<<10, 1, mem.PortConfig{Kind: mem.DuplicatePorts}, true),
-			PrewarmInsts: prewarm,
-			WarmupInsts:  500,
-			MeasureInsts: 500,
-		}
-		if _, err := sim.RunContext(context.Background(), cfg, opts); err != nil {
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(3, func() {
-			if _, err := sim.RunContext(context.Background(), cfg, opts); err != nil {
-				t.Fatal(err)
+	hitAllocs := func(prewarm uint64) (replay, apply float64) {
+		mk := func(size int, ports mem.PortConfig) sim.Config {
+			return sim.Config{
+				Benchmark:    "gcc",
+				Seed:         1,
+				CPU:          cpu.DefaultConfig(),
+				Memory:       mem.DefaultSRAMSystem(size, 1, ports, true),
+				PrewarmInsts: prewarm,
+				WarmupInsts:  500,
+				MeasureInsts: 500,
 			}
-		})
+		}
+		small := mk(16<<10, mem.PortConfig{Kind: mem.DuplicatePorts})
+		large := mk(32<<10, mem.PortConfig{Kind: mem.DuplicatePorts})
+		banked := mk(32<<10, mem.PortConfig{Kind: mem.BankedPorts, Count: 8})
+		run := func(cfgs ...sim.Config) {
+			for _, cfg := range cfgs {
+				if _, err := sim.RunContext(context.Background(), cfg, opts); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		run(small, large)
+		// Each run follows the other geometry: it replays the prefix's
+		// references and recaptures the warm slot.
+		replay = testing.AllocsPerRun(3, func() { run(small, large) }) / 2
+		// Both runs share the geometry the slot last captured.
+		apply = testing.AllocsPerRun(3, func() { run(large, banked) }) / 2
+		return replay, apply
 	}
-	short, long := hitAllocs(20_000), hitAllocs(200_000)
-	if hits, _ := cache.Stats(); hits < 8 {
-		t.Fatalf("%d prewarm hits, want every measured run to replay", hits)
+	shortReplay, shortApply := hitAllocs(20_000)
+	longReplay, longApply := hitAllocs(200_000)
+	if st := cache.Stats(); st.Hits < 28 || st.WarmApplies < 16 {
+		t.Fatalf("stats = %+v; want every measured run to replay or apply", st)
 	}
-	if long > short+4 {
-		t.Errorf("replaying run: %.1f allocs at 200k prewarm vs %.1f at 20k, want no growth with prefix length", long, short)
+	if longReplay > shortReplay+4 {
+		t.Errorf("replaying run: %.1f allocs at 200k prewarm vs %.1f at 20k, want no growth with prefix length", longReplay, shortReplay)
+	}
+	if longApply > shortApply+4 {
+		t.Errorf("applying run: %.1f allocs at 200k prewarm vs %.1f at 20k, want no growth with prefix length", longApply, shortApply)
 	}
 }

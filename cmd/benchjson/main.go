@@ -1,9 +1,9 @@
 // Command benchjson converts `go test -bench` output on stdin into a
 // machine-readable JSON record for performance tracking. Every metric
 // column is captured generically — ns/op, B/op, allocs/op, and custom
-// b.ReportMetric units like insts/sec — and repeated runs of one
-// benchmark (from -count=N) are kept as separate samples so downstream
-// tooling can compute its own statistics.
+// b.ReportMetric units like insts/sec. Repeated runs of one benchmark
+// (from -count=N) are kept as separate samples, and each benchmark's
+// summary records every metric's median and quartiles across them.
 //
 // Usage:
 //
@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -28,6 +29,21 @@ type sample struct {
 	Metrics    map[string]float64 `json:"metrics"`
 }
 
+// summary is one benchmark's distribution across its samples.
+type summary struct {
+	Name    string               `json:"name"`
+	Samples int                  `json:"samples"`
+	Metrics map[string]quartiles `json:"metrics"`
+}
+
+// quartiles are a metric's first quartile, median and third quartile,
+// each interpolated linearly between the nearest sorted samples.
+type quartiles struct {
+	Q1     float64 `json:"q1"`
+	Median float64 `json:"median"`
+	Q3     float64 `json:"q3"`
+}
+
 // report is the emitted document.
 type report struct {
 	Commit     string   `json:"commit,omitempty"`
@@ -35,6 +51,10 @@ type report struct {
 	GOOS       string   `json:"goos"`
 	GOARCH     string   `json:"goarch"`
 	Benchmarks []sample `json:"benchmarks"`
+	// Summary has one entry per benchmark, in order of first
+	// appearance: the median and spread of each metric across its
+	// samples.
+	Summary []summary `json:"summary"`
 	// SampledSpeedup is the mean "sampled-speedup" custom metric across
 	// the run — the interval-sampling subsystem's headline number,
 	// surfaced at the top level so trackers don't need to know which
@@ -75,6 +95,7 @@ func main() {
 	if len(rep.Benchmarks) == 0 {
 		fatal(fmt.Errorf("no benchmark result lines found on stdin"))
 	}
+	rep.Summary = summarize(rep.Benchmarks)
 	rep.SampledSpeedup = sampledSpeedup(rep.Benchmarks)
 	rep.ConfigsPerSecCore, rep.BatchSpeedup = batchMetrics(rep.Benchmarks)
 
@@ -88,6 +109,46 @@ func main() {
 			fatal(err)
 		}
 	}
+}
+
+// summarize groups samples by benchmark name, in order of first
+// appearance, and computes each metric's quartiles over the samples
+// that report it.
+func summarize(samples []sample) []summary {
+	var out []summary
+	values := make(map[string]map[string][]float64)
+	for _, s := range samples {
+		vs, ok := values[s.Name]
+		if !ok {
+			vs = make(map[string][]float64)
+			values[s.Name] = vs
+			out = append(out, summary{Name: s.Name})
+		}
+		for unit, v := range s.Metrics {
+			vs[unit] = append(vs[unit], v)
+		}
+	}
+	for i := range out {
+		sum := &out[i]
+		sum.Metrics = make(map[string]quartiles)
+		for unit, vs := range values[sum.Name] {
+			sort.Float64s(vs)
+			sum.Metrics[unit] = quartiles{quantile(vs, 0.25), quantile(vs, 0.5), quantile(vs, 0.75)}
+			sum.Samples = max(sum.Samples, len(vs))
+		}
+	}
+	return out
+}
+
+// quantile returns the q-quantile of sorted, non-empty vs, linearly
+// interpolated between the two nearest ranks.
+func quantile(vs []float64, q float64) float64 {
+	pos := q * float64(len(vs)-1)
+	lo := int(pos)
+	if lo+1 >= len(vs) {
+		return vs[lo]
+	}
+	return vs[lo] + (pos-float64(lo))*(vs[lo+1]-vs[lo])
 }
 
 // batchMetrics derives the batch kernel's headline numbers from the

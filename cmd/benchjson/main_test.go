@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -40,6 +41,28 @@ func TestParseLineRejectsNonResults(t *testing.T) {
 		if _, ok := parseLine(line); ok {
 			t.Errorf("line %q parsed as a result", line)
 		}
+	}
+}
+
+// TestSummarize pins the per-benchmark summary: benchmarks in order of
+// first appearance, each metric's quartiles interpolated over its own
+// samples, whatever order the samples arrived in.
+func TestSummarize(t *testing.T) {
+	var samples []sample
+	for _, v := range []float64{50, 10, 40, 20, 30} {
+		samples = append(samples, sample{Name: "BenchmarkB", Metrics: map[string]float64{"ns/op": v}})
+	}
+	samples = append(samples,
+		sample{Name: "BenchmarkA", Metrics: map[string]float64{"ns/op": 7, "B/op": 3}},
+		sample{Name: "BenchmarkA", Metrics: map[string]float64{"ns/op": 9}},
+	)
+	got := summarize(samples)
+	want := []summary{
+		{Name: "BenchmarkB", Samples: 5, Metrics: map[string]quartiles{"ns/op": {20, 30, 40}}},
+		{Name: "BenchmarkA", Samples: 2, Metrics: map[string]quartiles{"ns/op": {7.5, 8, 8.5}, "B/op": {3, 3, 3}}},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("summarize = %+v, want %+v", got, want)
 	}
 }
 

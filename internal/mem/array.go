@@ -12,10 +12,13 @@ import (
 // Storage is flat and allocation-free after construction: each set owns
 // a fixed assoc-sized window of the tags slice, ordered most- to
 // least-recently used, with the current fill recorded per set. Each line
-// slot also carries a 64-bit metadata word (the sectored cache's valid
-// bitmap) and a dirty flag that travel with the tag through promotions,
-// fills and evictions — this replaces the per-cache side maps that used
-// to shadow the array and allocate on the hot path.
+// slot also carries a dirty flag and, in an array built with metadata
+// (the sectored L1's), a 64-bit metadata word holding the sector valid
+// bitmap; both travel with the tag through promotions, fills and
+// evictions — this replaces the per-cache side maps that used to shadow
+// the array and allocate on the hot path. Arrays without metadata (every
+// other level) allocate no meta words: a 4 MB L2 would otherwise carry
+// 512 KB of zeros.
 type Array struct {
 	sets      int
 	assoc     int
@@ -24,7 +27,8 @@ type Array struct {
 	setShift  uint8 // log2(sets); sets is validated a power of two
 
 	// tags[set*assoc : set*assoc+fill[set]] are the resident tags of a
-	// set, MRU first. meta and dirty are parallel per-slot payload.
+	// set, MRU first. meta and dirty are parallel per-slot payload; meta
+	// is nil in an array built without metadata.
 	tags  []uint64
 	meta  []uint64
 	dirty []bool
@@ -34,8 +38,15 @@ type Array struct {
 // NewArray returns an array of the given total capacity, line size and
 // associativity. Capacity must be a multiple of lineBytes*assoc and the
 // set count must be a power of two (as in every design the paper
-// considers).
+// considers). The array keeps no per-line metadata: FillState ignores
+// its meta argument and ProbeMeta reports 0.
 func NewArray(totalBytes, lineBytes, assoc int) (*Array, error) {
+	return newArray(totalBytes, lineBytes, assoc, false)
+}
+
+// newArray is NewArray, allocating the per-slot metadata words when
+// withMeta is set.
+func newArray(totalBytes, lineBytes, assoc int, withMeta bool) (*Array, error) {
 	if totalBytes <= 0 || lineBytes <= 0 || assoc <= 0 {
 		return nil, fmt.Errorf("mem: non-positive array geometry %d/%d/%d", totalBytes, lineBytes, assoc)
 	}
@@ -50,17 +61,20 @@ func NewArray(totalBytes, lineBytes, assoc int) (*Array, error) {
 	if !isPow2(sets) {
 		return nil, fmt.Errorf("mem: set count %d not a power of two", sets)
 	}
-	return &Array{
+	a := &Array{
 		sets:      sets,
 		assoc:     assoc,
 		lineBytes: lineBytes,
 		setMask:   uint64(sets - 1),
 		setShift:  uint8(bits.TrailingZeros(uint(sets))),
 		tags:      make([]uint64, lines),
-		meta:      make([]uint64, lines),
 		dirty:     make([]bool, lines),
 		fill:      make([]int32, sets),
-	}, nil
+	}
+	if withMeta {
+		a.meta = make([]uint64, lines)
+	}
+	return a, nil
 }
 
 // MustNewArray is NewArray panicking on error, for geometry known valid.
@@ -108,15 +122,21 @@ func (a *Array) promote(base, slot int) {
 	}
 	if slot == 1 {
 		a.tags[base], a.tags[base+1] = a.tags[base+1], a.tags[base]
-		a.meta[base], a.meta[base+1] = a.meta[base+1], a.meta[base]
 		a.dirty[base], a.dirty[base+1] = a.dirty[base+1], a.dirty[base]
+		if a.meta != nil {
+			a.meta[base], a.meta[base+1] = a.meta[base+1], a.meta[base]
+		}
 		return
 	}
-	t, m, d := a.tags[base+slot], a.meta[base+slot], a.dirty[base+slot]
+	t, d := a.tags[base+slot], a.dirty[base+slot]
 	copy(a.tags[base+1:base+slot+1], a.tags[base:base+slot])
-	copy(a.meta[base+1:base+slot+1], a.meta[base:base+slot])
 	copy(a.dirty[base+1:base+slot+1], a.dirty[base:base+slot])
-	a.tags[base], a.meta[base], a.dirty[base] = t, m, d
+	a.tags[base], a.dirty[base] = t, d
+	if a.meta != nil {
+		m := a.meta[base+slot]
+		copy(a.meta[base+1:base+slot+1], a.meta[base:base+slot])
+		a.meta[base] = m
+	}
 }
 
 // Lookup reports whether addr's line is present and, on a hit, promotes
@@ -136,25 +156,18 @@ func (a *Array) Probe(addr uint64) bool {
 	return slot >= 0
 }
 
-// ProbeMeta returns addr's line metadata without updating recency,
-// reporting whether the line is present.
+// ProbeMeta returns addr's line metadata (0 in an array without
+// metadata) without updating recency, reporting whether the line is
+// present.
 func (a *Array) ProbeMeta(addr uint64) (uint64, bool) {
 	base, slot, _ := a.find(addr)
 	if slot < 0 {
 		return 0, false
 	}
-	return a.meta[base+slot], true
-}
-
-// OrMeta merges bits into addr's line metadata without updating recency,
-// reporting whether the line is present.
-func (a *Array) OrMeta(addr uint64, bits uint64) bool {
-	base, slot, _ := a.find(addr)
-	if slot < 0 {
-		return false
+	if a.meta == nil {
+		return 0, true
 	}
-	a.meta[base+slot] |= bits
-	return true
+	return a.meta[base+slot], true
 }
 
 // MarkDirty sets addr's line dirty without updating recency, reporting
@@ -171,12 +184,15 @@ func (a *Array) MarkDirty(addr uint64) bool {
 // FillState inserts addr's line as most recently used with the given
 // payload, evicting the LRU line of a full set; the eviction reports the
 // displaced line's base address and payload. Filling a line already
-// present promotes it and merges the payload in.
+// present promotes it and merges the payload in. An array without
+// metadata drops meta and reports evMeta 0.
 func (a *Array) FillState(addr uint64, meta uint64, dirty bool) (evicted uint64, evMeta uint64, evDirty bool, didEvict bool) {
 	base, slot, tag := a.find(addr)
 	if slot >= 0 {
 		a.promote(base, slot)
-		a.meta[base] |= meta
+		if a.meta != nil {
+			a.meta[base] |= meta
+		}
 		a.dirty[base] = a.dirty[base] || dirty
 		return 0, 0, false, false
 	}
@@ -188,14 +204,19 @@ func (a *Array) FillState(addr uint64, meta uint64, dirty bool) (evicted uint64,
 	} else {
 		last := base + n - 1
 		evicted = (a.tags[last]*uint64(a.sets) + uint64(set)) * uint64(a.lineBytes)
-		evMeta = a.meta[last]
+		if a.meta != nil {
+			evMeta = a.meta[last]
+		}
 		evDirty = a.dirty[last]
 		didEvict = true
 	}
 	copy(a.tags[base+1:base+n], a.tags[base:base+n-1])
-	copy(a.meta[base+1:base+n], a.meta[base:base+n-1])
 	copy(a.dirty[base+1:base+n], a.dirty[base:base+n-1])
-	a.tags[base], a.meta[base], a.dirty[base] = tag, meta, dirty
+	a.tags[base], a.dirty[base] = tag, dirty
+	if a.meta != nil {
+		copy(a.meta[base+1:base+n], a.meta[base:base+n-1])
+		a.meta[base] = meta
+	}
 	return evicted, evMeta, evDirty, didEvict
 }
 
@@ -217,9 +238,12 @@ func (a *Array) InvalidateState(addr uint64) (meta uint64, dirty bool, ok bool) 
 	}
 	set := base / a.assoc
 	n := int(a.fill[set])
-	meta, dirty = a.meta[base+slot], a.dirty[base+slot]
+	if a.meta != nil {
+		meta = a.meta[base+slot]
+		copy(a.meta[base+slot:base+n-1], a.meta[base+slot+1:base+n])
+	}
+	dirty = a.dirty[base+slot]
 	copy(a.tags[base+slot:base+n-1], a.tags[base+slot+1:base+n])
-	copy(a.meta[base+slot:base+n-1], a.meta[base+slot+1:base+n])
 	copy(a.dirty[base+slot:base+n-1], a.dirty[base+slot+1:base+n])
 	a.fill[set] = int32(n - 1)
 	return meta, dirty, true

@@ -181,7 +181,17 @@ func NewL1Cache(cfg L1Config, next Level) (*L1Cache, error) {
 	if next == nil {
 		return nil, fmt.Errorf("mem: L1 requires a next level")
 	}
-	array, err := NewArray(cfg.Bytes, cfg.LineBytes, cfg.Assoc)
+	sectored := cfg.SectorBytes != 0
+	if sectored {
+		if !isPow2(cfg.SectorBytes) || cfg.LineBytes%cfg.SectorBytes != 0 {
+			return nil, fmt.Errorf("mem: sector size %d must be a power of two dividing the %d-byte line", cfg.SectorBytes, cfg.LineBytes)
+		}
+		if cfg.LineBytes/cfg.SectorBytes > 64 {
+			return nil, fmt.Errorf("mem: %d sectors per line exceeds the 64-sector bitmap", cfg.LineBytes/cfg.SectorBytes)
+		}
+	}
+	// Only a sectored cache has per-line metadata: its sector bitmaps.
+	array, err := newArray(cfg.Bytes, cfg.LineBytes, cfg.Assoc, sectored)
 	if err != nil {
 		return nil, err
 	}
@@ -189,7 +199,7 @@ func NewL1Cache(cfg L1Config, next Level) (*L1Cache, error) {
 	if err != nil {
 		return nil, err
 	}
-	l1 := &L1Cache{cfg: cfg, array: array, ports: ports, mshrs: NewMSHRFile(cfg.MSHRs), next: next}
+	l1 := &L1Cache{cfg: cfg, array: array, ports: ports, mshrs: NewMSHRFile(cfg.MSHRs), next: next, sectored: sectored}
 	if cfg.LineBuffer {
 		entries := cfg.LineBufferEntries
 		if entries == 0 {
@@ -203,15 +213,6 @@ func NewL1Cache(cfg L1Config, next Level) (*L1Cache, error) {
 		if err != nil {
 			return nil, err
 		}
-	}
-	if cfg.SectorBytes != 0 {
-		if !isPow2(cfg.SectorBytes) || cfg.LineBytes%cfg.SectorBytes != 0 {
-			return nil, fmt.Errorf("mem: sector size %d must be a power of two dividing the %d-byte line", cfg.SectorBytes, cfg.LineBytes)
-		}
-		if cfg.LineBytes/cfg.SectorBytes > 64 {
-			return nil, fmt.Errorf("mem: %d sectors per line exceeds the 64-sector bitmap", cfg.LineBytes/cfg.SectorBytes)
-		}
-		l1.sectored = true
 	}
 	if cfg.VictimCache {
 		entries := cfg.VictimEntries
@@ -645,7 +646,9 @@ func (c *L1Cache) WarmTouch(addr uint64) bool {
 	}
 	if base, slot, _ := c.array.find(addr); slot >= 0 {
 		c.array.promote(base, slot)
-		c.array.meta[base] |= bit
+		if c.sectored {
+			c.array.meta[base] |= bit
+		}
 		return true
 	}
 	meta, dirty := bit, false

@@ -8,6 +8,8 @@ import (
 // ArrayState is the serializable content of a tag array: the resident
 // tags in recency order with their per-slot payload, and the per-set
 // occupancy. Geometry (sets, assoc, line size) is rebuilt from config.
+// Meta always has one word per slot, zeros for an array that keeps no
+// metadata, so the wire format does not depend on which arrays do.
 type ArrayState struct {
 	Tags  []uint64 `json:"tags"`
 	Meta  []uint64 `json:"meta"`
@@ -16,24 +18,33 @@ type ArrayState struct {
 }
 
 func (a *Array) exportState() ArrayState {
+	meta := make([]uint64, len(a.tags))
+	copy(meta, a.meta)
 	return ArrayState{
 		Tags:  append([]uint64(nil), a.tags...),
-		Meta:  append([]uint64(nil), a.meta...),
+		Meta:  meta,
 		Dirty: append([]bool(nil), a.dirty...),
 		Fill:  append([]int32(nil), a.fill...),
 	}
 }
 
 func (a *Array) importState(name string, st ArrayState) error {
-	if len(st.Tags) != len(a.tags) || len(st.Meta) != len(a.meta) ||
+	if len(st.Tags) != len(a.tags) || len(st.Meta) != len(a.tags) ||
 		len(st.Dirty) != len(a.dirty) || len(st.Fill) != len(a.fill) {
 		return fmt.Errorf("mem: %s snapshot geometry %d/%d/%d/%d, array wants %d/%d/%d/%d",
 			name, len(st.Tags), len(st.Meta), len(st.Dirty), len(st.Fill),
-			len(a.tags), len(a.meta), len(a.dirty), len(a.fill))
+			len(a.tags), len(a.tags), len(a.dirty), len(a.fill))
 	}
 	for set, f := range st.Fill {
 		if f < 0 || int(f) > a.assoc {
 			return fmt.Errorf("mem: %s snapshot set %d occupancy %d outside [0,%d]", name, set, f, a.assoc)
+		}
+	}
+	if a.meta == nil {
+		for i, m := range st.Meta {
+			if m != 0 {
+				return fmt.Errorf("mem: %s snapshot slot %d carries metadata %#x, array keeps none", name, i, m)
+			}
 		}
 	}
 	copy(a.tags, st.Tags)

@@ -17,8 +17,9 @@
 // figure passes and lockstep sweeps all run through it as batches of
 // Options.BatchSize jobs (one when batching is off). A batch of two or
 // more steps in lockstep through sim.RunBatch; a batch of one whose
-// stream group has two or more members shares one functional prewarm
-// drain through the runner's sim.PrewarmCache.
+// stream group has two or more members shares its stream's functional
+// prewarm drain, and its cache geometry's finished prewarm, through
+// the runner's sim.PrewarmCache.
 //
 // Jobs are individually robust: a panicking simulation surfaces as that
 // job's error rather than crashing the process, failed jobs retry a
@@ -151,12 +152,17 @@ type Metrics struct {
 	// integrity check and were quarantined (renamed *.corrupt).
 	CorruptEntries int `json:"corrupt_entries"`
 
-	// PrewarmHits and PrewarmMisses count simulations that replayed a
-	// shared prewarm prefix and that drained one from the generator
-	// (sim.PrewarmCache); jobs outside a multi-job stream group, and
-	// every job of a BatchSize > 1 runner, touch neither.
-	PrewarmHits   int `json:"prewarm_hits"`
-	PrewarmMisses int `json:"prewarm_misses"`
+	// PrewarmHits and PrewarmMisses count simulations that used a
+	// shared prewarm prefix and that drained one from the generator;
+	// PrewarmWarmFills counts finished prewarms captured for sharing
+	// and PrewarmWarmApplies the simulations that applied one instead
+	// of sweeping and replaying (sim.PrewarmStats). Jobs outside a
+	// multi-job stream group, and every job of a BatchSize > 1 runner,
+	// touch none of them.
+	PrewarmHits        int `json:"prewarm_hits"`
+	PrewarmMisses      int `json:"prewarm_misses"`
+	PrewarmWarmFills   int `json:"prewarm_warm_fills"`
+	PrewarmWarmApplies int `json:"prewarm_warm_applies"`
 }
 
 // Rate is completed jobs per second of runner lifetime (cache and memo
@@ -337,8 +343,9 @@ func (r *Runner) snapshotLocked() Metrics {
 	if r.store != nil {
 		m.CorruptEntries = int(r.store.CorruptEntries())
 	}
-	hits, misses := r.prewarm.Stats()
-	m.PrewarmHits, m.PrewarmMisses = int(hits), int(misses)
+	pw := r.prewarm.Stats()
+	m.PrewarmHits, m.PrewarmMisses = int(pw.Hits), int(pw.Misses)
+	m.PrewarmWarmFills, m.PrewarmWarmApplies = int(pw.WarmFills), int(pw.WarmApplies)
 	return m
 }
 

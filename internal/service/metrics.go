@@ -46,8 +46,10 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Counter("hbserved_cache_corrupt_entries_total", "On-disk cache entries that failed their integrity check and were quarantined.", float64(rm.CorruptEntries))
 	p.Counter("hbserved_snapshot_quarantined_total", "Checkpoint files that failed verification and were quarantined to *.corrupt (process-wide).", float64(snapshot.Quarantined()))
 	p.Counter("hbserved_traces_quarantined_total", "Trace files that failed verification and were quarantined to *.corrupt (process-wide).", float64(workload.TracesQuarantined()))
-	p.Counter("hbserved_runner_prewarm_hits_total", "Simulations that replayed a shared prewarm prefix instead of generating it.", float64(rm.PrewarmHits))
+	p.Counter("hbserved_runner_prewarm_hits_total", "Simulations that used a shared prewarm prefix instead of generating it.", float64(rm.PrewarmHits))
 	p.Counter("hbserved_runner_prewarm_misses_total", "Simulations in a shared stream group that generated their prewarm prefix.", float64(rm.PrewarmMisses))
+	p.Counter("hbserved_runner_prewarm_warm_fills_total", "Finished prewarms captured for later runs of the same stream and cache geometry.", float64(rm.PrewarmWarmFills))
+	p.Counter("hbserved_runner_prewarm_warm_applies_total", "Simulations that applied a captured prewarm instead of sweeping and replaying.", float64(rm.PrewarmWarmApplies))
 	p.Counter("hbserved_runner_sim_seconds_total", "Cumulative wall time inside the simulator.", rm.SimWall.Seconds())
 	p.Gauge("hbserved_cache_hit_ratio", "Fraction of completed runner jobs served without simulating (disk cache + memo).",
 		stats.Ratio(uint64(rm.CacheHits+rm.MemoHits), uint64(rm.Done)))

@@ -37,7 +37,8 @@ func metricValue(t *testing.T, body, name string) float64 {
 // TestMetricsQuarantineAndPrewarmFamilies checks the families fed by
 // the process-wide quarantine counters and the runner's prewarm cache:
 // a quarantined checkpoint and trace show up in their counters, and a
-// two-job same-stream Run shows one prewarm miss and one hit.
+// three-job same-stream Run over two cache geometries shows one prefix
+// miss, two prefix hits, two warm fills and one warm apply.
 func TestMetricsQuarantineAndPrewarmFamilies(t *testing.T) {
 	dir := t.TempDir()
 	badSnap := filepath.Join(dir, "bad.json")
@@ -59,10 +60,17 @@ func TestMetricsQuarantineAndPrewarmFamilies(t *testing.T) {
 		t.Fatal(err)
 	}
 	var cfgs []sim.Config
-	for _, size := range []int{16 << 10, 32 << 10} {
+	for _, org := range []struct {
+		size  int
+		ports mem.PortConfig
+	}{
+		{16 << 10, mem.PortConfig{Kind: mem.DuplicatePorts}},
+		{32 << 10, mem.PortConfig{Kind: mem.DuplicatePorts}},
+		{16 << 10, mem.PortConfig{Kind: mem.BankedPorts, Count: 8}},
+	} {
 		cfgs = append(cfgs, sim.Config{
 			Benchmark: "gcc", Seed: 1, CPU: cpu.DefaultConfig(),
-			Memory:       mem.DefaultSRAMSystem(size, 1, mem.PortConfig{Kind: mem.DuplicatePorts}, false),
+			Memory:       mem.DefaultSRAMSystem(org.size, 1, org.ports, false),
 			PrewarmInsts: 5_000, WarmupInsts: 500, MeasureInsts: 1_000,
 		})
 	}
@@ -78,13 +86,21 @@ func TestMetricsQuarantineAndPrewarmFamilies(t *testing.T) {
 
 	m := fetchMetrics(t, ts)
 	for name, want := range map[string]float64{
-		"hbserved_snapshot_quarantined_total":  float64(snapshot.Quarantined()),
-		"hbserved_traces_quarantined_total":    float64(workload.TracesQuarantined()),
-		"hbserved_runner_prewarm_hits_total":   1,
-		"hbserved_runner_prewarm_misses_total": 1,
+		"hbserved_snapshot_quarantined_total": float64(snapshot.Quarantined()),
+		"hbserved_traces_quarantined_total":   float64(workload.TracesQuarantined()),
 	} {
 		if got := metricValue(t, m, name); got < 1 || got > want {
 			t.Errorf("%s = %v, want in [1, %v]", name, got, want)
+		}
+	}
+	for name, want := range map[string]float64{
+		"hbserved_runner_prewarm_hits_total":         2,
+		"hbserved_runner_prewarm_misses_total":       1,
+		"hbserved_runner_prewarm_warm_fills_total":   2,
+		"hbserved_runner_prewarm_warm_applies_total": 1,
+	} {
+		if got := metricValue(t, m, name); got != want {
+			t.Errorf("%s = %v, want %v", name, got, want)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"hbcache/internal/cpu"
@@ -74,22 +75,39 @@ func streamKeyOf(rcfg Config) streamKey {
 }
 
 // StreamGroups partitions cfgs by the stream they read — the key the
-// batch kernel shares streams on — returning each group's indices in
-// submission order, groups in order of first appearance. Schedulers
-// use it to run same-stream configs together: as the lanes of one
-// batch, or back to back so they share a PrewarmCache entry.
+// batch kernel shares streams on — returning each group's indices
+// ordered by first appearance of their warm-state key
+// (mem.WarmStateKey), in submission order within one key, and groups
+// in order of first appearance. Schedulers use it to run same-stream
+// configs together: as the lanes of one batch, or back to back so
+// they share a PrewarmCache prefix and, one cache geometry after
+// another, its finished warm state.
 func StreamGroups(cfgs []Config) [][]int {
-	var groups [][]int
-	byKey := make(map[streamKey]int, len(cfgs))
-	for i, cfg := range cfgs {
-		key := streamKeyOf(cfg.WithDefaults())
-		g, ok := byKey[key]
+	idx := make([]int, len(cfgs))
+	for i := range idx {
+		idx[i] = i
+	}
+	groups := groupByFirst(idx, func(i int) streamKey { return streamKeyOf(cfgs[i].WithDefaults()) })
+	for g, members := range groups {
+		groups[g] = slices.Concat(groupByFirst(members, func(i int) string { return mem.WarmStateKey(cfgs[i].Memory) })...)
+	}
+	return groups
+}
+
+// groupByFirst partitions xs by key, each group keeping xs's order and
+// groups in order of their key's first appearance.
+func groupByFirst[T any, K comparable](xs []T, key func(T) K) [][]T {
+	var groups [][]T
+	byKey := make(map[K]int, len(xs))
+	for _, x := range xs {
+		k := key(x)
+		g, ok := byKey[k]
 		if !ok {
 			g = len(groups)
-			byKey[key] = g
+			byKey[k] = g
 			groups = append(groups, nil)
 		}
-		groups[g] = append(groups[g], i)
+		groups[g] = append(groups[g], x)
 	}
 	return groups
 }
@@ -372,26 +390,21 @@ func (b *Batch) abortStream(st *bstream) {
 func (b *Batch) prewarmStream(st *bstream) {
 	// Group the stream's viable lanes by warm-state key; the first lane
 	// of each group replays, the rest copy its state.
-	groups := make(map[string][]*lane)
-	var order []string
+	var live []*lane
 	for _, ln := range st.lanes {
-		if ln.settled {
-			continue
+		if !ln.settled {
+			live = append(live, ln)
 		}
-		k := mem.WarmStateKey(ln.cfg.Memory)
-		if _, ok := groups[k]; !ok {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], ln)
 	}
-	if len(order) == 0 {
+	if len(live) == 0 {
 		return
 	}
-	cfg := groups[order[0]][0].cfg // windows and mode are stream-uniform
+	groups := groupByFirst(live, func(ln *lane) string { return mem.WarmStateKey(ln.cfg.Memory) })
+	cfg := live[0].cfg // windows and mode are stream-uniform
 
 	// Region sweep, leaders only.
-	for _, k := range order {
-		if err := groups[k][0].m.sweep(); err != nil {
+	for _, g := range groups {
+		if err := g[0].m.sweep(); err != nil {
 			b.abortStream(st)
 			return
 		}
@@ -403,9 +416,9 @@ func (b *Batch) prewarmStream(st *bstream) {
 		// depends on the CPU config, so it is never shared.
 		var leaders []*mem.System
 		var preds []*cpu.Predictor
-		for _, k := range order {
-			leaders = append(leaders, groups[k][0].m.sys)
-			for _, ln := range groups[k] {
+		for _, g := range groups {
+			leaders = append(leaders, g[0].m.sys)
+			for _, ln := range g {
 				preds = append(preds, ln.m.core.Predictor())
 			}
 		}
@@ -417,10 +430,14 @@ func (b *Batch) prewarmStream(st *bstream) {
 	// Followers copy their leader's warm state. Timing-mode prewarm
 	// then runs through each lane's pipeline; only the sweep state was
 	// shareable.
-	for _, k := range order {
-		g := groups[k]
+	var warm mem.WarmState
+	for _, g := range groups {
+		if len(g) == 1 {
+			continue
+		}
+		g[0].m.sys.CaptureWarm(&warm)
 		for _, f := range g[1:] {
-			if err := mem.CopyWarmState(f.m.sys, g[0].m.sys); err != nil {
+			if err := f.m.sys.ApplyWarm(&warm); err != nil {
 				f.fail(fmt.Errorf("%w: %v", ErrInvalidConfig, err))
 			}
 		}

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hbcache/internal/mem"
 	"hbcache/internal/workload"
 )
 
@@ -20,41 +21,68 @@ const prewarmCacheEntries = 2
 // cache at prewarmCacheEntries × maxPrefixBytes.
 const maxPrefixBytes = 16 << 20
 
-// PrewarmCache shares functional prewarm prefixes between runs of the
-// same synthetic stream. Every run of a (benchmark, seed) pair drains
-// the identical first PrewarmInsts instructions during fast-forward
-// prewarm. The cache keeps that prefix's memory-reference
-// addresses and branch outcomes (delta-varint encoded, about 1.5 bytes
-// per instruction) and the generator state after it, so a later run
-// replays the references into its own hierarchy and predictor and
-// imports the generator state instead of regenerating the prefix.
+// PrewarmCache shares the functional prewarm between runs of the same
+// synthetic stream, at two depths.
+//
+// Every run of a (benchmark, seed) pair drains the identical first
+// PrewarmInsts instructions during fast-forward prewarm. The cache
+// keeps that prefix's memory-reference addresses and branch outcomes
+// (delta-varint encoded, about 1.5 bytes per instruction) and the
+// generator state after it, in a two-entry LRU, so a later run of the
+// stream replays the references into its own hierarchy and predictor
+// and imports the generator state instead of regenerating the prefix.
+//
+// What the region sweep and the prefix's references leave in the
+// hierarchy depends only on the stream and the cache geometry
+// (mem.WarmStateKey), not on ports, hit latencies or the line buffer.
+// So the cache also keeps one finished prewarm: after the first run
+// of a (prefix, geometry) pair has swept and drained (or replayed), it
+// captures that hierarchy's warm state into a single slot whose
+// buffers every later capture reuses. A later run of the same pair
+// applies the captured state instead of sweeping and replaying the
+// references, then replays only the branch outcomes into its own
+// predictor and imports the generator state. The slot holds one pair
+// at a time: StreamGroups orders each stream's configs by geometry so
+// that a scheduler dispatching in its order refills it once per pair.
+//
 // Replay touches the same lines and trains the same branches in the
-// same order, so a hit is bit-identical to a cold drain, stream hash
-// included.
+// same order as a cold drain, and an applied state is a copy of one,
+// so every path is bit-identical to a cold run, stream hash included.
 //
 // Runs share one cache through RunOpts.Prewarm; it is safe for
-// concurrent use. A run that finds the prefix it needs being filled by
-// another run waits for that fill rather than draining a second copy.
+// concurrent use. A run that finds the prefix or the warm state it
+// needs being filled by another run waits for that fill (or for its
+// own cancellation) rather than producing a second copy; a fill that
+// fails or panics releases its waiters without publishing anything.
 // Trace-backed configs, timing-mode prewarm, the sampled mode's
 // in-window fast-forwards, and resumed runs never consult it.
 type PrewarmCache struct {
 	mu      sync.Mutex
 	entries [prewarmCacheEntries]*prefix // most recently used first
+	slot    warmSlot
 
-	hits, misses atomic.Int64
+	hits, misses, warmFills, warmApplies atomic.Int64
 }
 
 // NewPrewarmCache returns an empty cache.
 func NewPrewarmCache() *PrewarmCache { return &PrewarmCache{} }
 
-// Stats reports how many runs replayed a cached prefix (hits) and how
-// many drained their prefix from the generator (misses). A nil cache
-// reports zeros.
-func (c *PrewarmCache) Stats() (hits, misses int64) {
+// PrewarmStats counts how runs used a PrewarmCache. Hits are runs that
+// used a cached prefix (replayed it, or applied a warm state paired
+// with it) and Misses runs that drained their prefix from the
+// generator; every run through the cache is exactly one of the two.
+// WarmFills counts captured warm states and WarmApplies the runs that
+// applied one.
+type PrewarmStats struct {
+	Hits, Misses, WarmFills, WarmApplies int64
+}
+
+// Stats reports the cache's counters. A nil cache reports zeros.
+func (c *PrewarmCache) Stats() PrewarmStats {
 	if c == nil {
-		return 0, 0
+		return PrewarmStats{}
 	}
-	return c.hits.Load(), c.misses.Load()
+	return PrewarmStats{c.hits.Load(), c.misses.Load(), c.warmFills.Load(), c.warmApplies.Load()}
 }
 
 // prefixKey names one prewarm prefix: the stream and its length.
@@ -75,6 +103,29 @@ type prefix struct {
 	addrs    varintLog // memory references
 	branches varintLog // branch outcomes, packed pc<<1|taken
 	gen      workload.GeneratorState
+}
+
+// warmKey names one finished prewarm: its prefix and the hierarchy
+// geometry it warmed (mem.WarmStateKey).
+type warmKey struct {
+	prefix prefixKey
+	mem    string
+}
+
+// warmSlot is the cache's one finished prewarm. Its control fields are
+// guarded by the cache's mu. The payload (state, prefix) is written
+// only by the filling run and read only by runs holding a reader
+// reference after ready closed with ok set; a new fill may not start
+// while either is in progress.
+type warmSlot struct {
+	key     warmKey
+	ready   chan struct{} // closes when the current fill settles
+	filling bool
+	ok      bool // the payload holds key's warm state
+	readers int  // runs waiting on or applying the payload
+
+	state  mem.WarmState
+	prefix *prefix // supplies the branch outcomes and generator state
 }
 
 // logChunk is the size of one varintLog chunk: large enough that a
@@ -180,11 +231,111 @@ func (r *prefixRecorder) add(addrs, branches []uint64) {
 	}
 }
 
-// warm runs the machine's functional prewarm through the cache: a miss
-// drains the generator exactly as fastForward does while recording the
-// prefix, a hit replays it.
-func (c *PrewarmCache) warm(m *machine) (err error) {
+// acquireWarm claims the warm slot for key. A run of the key already
+// filled or being filled becomes a reader and gets the slot's ready
+// channel; otherwise an idle slot is handed to the caller to fill
+// (fill true). When the slot is busy with another key the run cannot
+// use it and gets a nil channel.
+func (c *PrewarmCache) acquireWarm(key warmKey) (ready <-chan struct{}, fill bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := &c.slot
+	if s.ready != nil && s.key == key && (s.filling || s.ok) {
+		s.readers++
+		return s.ready, false
+	}
+	if s.filling || s.readers > 0 {
+		return nil, false
+	}
+	s.key, s.ready, s.filling, s.ok, s.prefix = key, make(chan struct{}), true, false, nil
+	return s.ready, true
+}
+
+// publishWarm ends the slot's fill, releasing its waiters. A failed
+// fill publishes nothing: its waiters prewarm the long way and the
+// next run of its key fills the slot afresh.
+func (c *PrewarmCache) publishWarm(ok bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.slot.filling, c.slot.ok = false, ok
+	if ok {
+		c.warmFills.Add(1)
+	}
+	close(c.slot.ready)
+}
+
+// releaseWarm drops a reader reference taken by acquireWarm.
+func (c *PrewarmCache) releaseWarm() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.slot.readers--
+}
+
+// warm runs the machine's functional prewarm — region sweep, then the
+// prewarm prefix — through the cache. A run whose (prefix, geometry)
+// is in the warm slot applies it; any other run sweeps and then drains
+// (recording the prefix) or replays its prefix, and a run that
+// claimed the idle slot captures the result into it.
+func (c *PrewarmCache) warm(m *machine) error {
 	key := prefixKey{m.cfg.Benchmark, m.cfg.Seed, m.cfg.PrewarmInsts}
+	ready, fill := c.acquireWarm(warmKey{key, mem.WarmStateKey(m.cfg.Memory)})
+	if ready != nil && !fill {
+		applied, err := c.applyWarm(m, ready)
+		if applied || err != nil {
+			return err
+		}
+		// The fill failed; prewarm this run the long way.
+	}
+	if !fill {
+		_, err := c.sweepAndDrain(m, key)
+		return err
+	}
+	captured := false
+	// Deferred so a panicking fill still releases the waiters.
+	defer func() { c.publishWarm(captured) }()
+	p, err := c.sweepAndDrain(m, key)
+	if p != nil {
+		m.sys.CaptureWarm(&c.slot.state)
+		c.slot.prefix, captured = p, true
+	}
+	return err
+}
+
+// applyWarm waits for the warm slot's fill, as a reader, and applies
+// it: the captured hierarchy state, the prefix's branch outcomes, and
+// the generator state after it. It reports false, with a nil error,
+// when the fill failed.
+func (c *PrewarmCache) applyWarm(m *machine, ready <-chan struct{}) (bool, error) {
+	defer c.releaseWarm()
+	select {
+	case <-ready:
+	case <-m.done:
+		return false, m.abortErr()
+	}
+	s := &c.slot
+	if !s.ok {
+		return false, nil
+	}
+	if err := m.sys.ApplyWarm(&s.state); err != nil {
+		return false, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
+	}
+	if err := m.replayBranches(s.prefix); err != nil {
+		return false, err
+	}
+	c.hits.Add(1)
+	c.warmApplies.Add(1)
+	return true, nil
+}
+
+// sweepAndDrain sweeps the machine's regions and then drains its
+// prewarm prefix exactly as fastForward does while recording it, or
+// replays the cached prefix. It returns the prefix when one is cached
+// after a successful run, nil when it failed or the prefix is too large
+// to keep.
+func (c *PrewarmCache) sweepAndDrain(m *machine, key prefixKey) (_ *prefix, err error) {
+	if err := m.sweep(); err != nil {
+		return nil, err
+	}
 	p, fill := c.acquire(key)
 	if fill {
 		c.misses.Add(1)
@@ -200,19 +351,25 @@ func (c *PrewarmCache) warm(m *machine) (err error) {
 		}()
 		err = m.fastForward(key.insts, rec)
 		drained = err == nil
-		return err
+		if !drained || rec.full {
+			return nil, err
+		}
+		return p, nil
 	}
 	select {
 	case <-p.ready:
 	case <-m.done:
-		return m.abortErr()
+		return nil, m.abortErr()
 	}
 	if !p.ok {
 		c.misses.Add(1)
-		return m.fastForward(key.insts, nil)
+		return nil, m.fastForward(key.insts, nil)
 	}
 	c.hits.Add(1)
-	return m.replay(p)
+	if err := m.replay(p); err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // replay applies a cached prefix to a fresh machine: every reference
@@ -231,6 +388,12 @@ func (m *machine) replay(p *prefix) error {
 		}
 		m.sys.WarmTouch(a)
 	}
+	return m.replayBranches(p)
+}
+
+// replayBranches is replay without the references: the prefix's branch
+// outcomes into the predictor, then its generator state.
+func (m *machine) replayBranches(p *prefix) error {
 	pred := m.core.Predictor()
 	branches := logReader{rest: p.branches.chunks}
 	for i := 0; ; i++ {

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -122,21 +123,25 @@ func TestPrewarmCacheHitBitIdentical(t *testing.T) {
 				}
 				requireGolden(t, label, cfg, got)
 			}
-			if hits, misses := cache.Stats(); hits != 2 || misses != 1 {
-				t.Errorf("stats = %d hits, %d misses; want 2, 1", hits, misses)
+			if st := cache.Stats(); st != (PrewarmStats{Hits: 2, Misses: 1, WarmFills: 3}) {
+				t.Errorf("stats = %+v; want 2 hits, 1 miss, 3 warm fills (one per geometry)", st)
 			}
 		})
 	}
 }
 
 // TestPrewarmCacheConcurrent runs one stream's configs on several
-// goroutines through one cache at once: the runs that find the prefix
-// in flight wait for it, and every result equals its cold run.
+// goroutines through one cache at once, three geometries with two port
+// organizations each: the runs that find the prefix or the warm state
+// they need in flight wait for it, and every result equals its cold
+// run.
 func TestPrewarmCacheConcurrent(t *testing.T) {
 	cache := NewPrewarmCache()
 	var cfgs []Config
-	for _, size := range []int{8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10} {
-		cfgs = append(cfgs, prewarmCacheConfig("pmake", size, mem.PortConfig{Kind: mem.BankedPorts, Count: 8}, true, PrewarmFastForward))
+	for _, size := range []int{8 << 10, 32 << 10, 128 << 10} {
+		for _, ports := range []mem.PortConfig{{Kind: mem.BankedPorts, Count: 8}, {Kind: mem.DuplicatePorts}} {
+			cfgs = append(cfgs, prewarmCacheConfig("pmake", size, ports, true, PrewarmFastForward))
+		}
 	}
 	got := make([]Result, len(cfgs))
 	errs := make([]error, len(cfgs))
@@ -161,18 +166,25 @@ func TestPrewarmCacheConcurrent(t *testing.T) {
 			t.Errorf("config %d: concurrent cached-prefix result differs from cold run", i)
 		}
 	}
-	if hits, misses := cache.Stats(); hits != int64(len(cfgs))-1 || misses != 1 {
-		t.Errorf("stats = %d hits, %d misses; want %d, 1 (waiters share the one fill)", hits, misses, len(cfgs)-1)
+	if st := cache.Stats(); st.Hits != int64(len(cfgs))-1 || st.Misses != 1 {
+		t.Errorf("stats = %+v; want %d hits, 1 miss (waiters share the one fill)", st, len(cfgs)-1)
 	}
 }
 
 // TestPrewarmCacheBypass pins the runs that must not consult the cache:
-// timing-mode prewarm and resumed runs leave its counters untouched.
+// timing-mode prewarm, trace-backed and resumed runs leave its
+// counters and its warm slot untouched.
 func TestPrewarmCacheBypass(t *testing.T) {
 	cache := NewPrewarmCache()
 	cfg := prewarmCacheConfig("li", 32<<10, mem.PortConfig{Kind: mem.DuplicatePorts}, false, PrewarmTiming)
 	if _, err := RunContext(context.Background(), cfg, RunOpts{Prewarm: cache}); err != nil {
 		t.Fatal(err)
+	}
+	traced := traceFor(t, t.TempDir(), prewarmCacheConfig("li", 32<<10, mem.PortConfig{Kind: mem.DuplicatePorts}, false, PrewarmFastForward))
+	for range 2 {
+		if _, err := RunContext(context.Background(), traced, RunOpts{Prewarm: cache}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	snap := t.TempDir() + "/prewarm.json"
 	cfg.PrewarmMode = PrewarmFastForward
@@ -182,8 +194,11 @@ func TestPrewarmCacheBypass(t *testing.T) {
 	if _, err := RunContext(context.Background(), cfg, RunOpts{Prewarm: cache, Resume: snap}); err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses := cache.Stats(); hits != 0 || misses != 0 {
-		t.Errorf("stats = %d hits, %d misses; want the cache untouched", hits, misses)
+	if st := cache.Stats(); st != (PrewarmStats{}) {
+		t.Errorf("stats = %+v; want the cache untouched", st)
+	}
+	if cache.slot.ready != nil {
+		t.Error("a bypassing run claimed the warm slot")
 	}
 }
 
@@ -205,8 +220,9 @@ func TestPrewarmCacheCapacity(t *testing.T) {
 	}
 	// gcc miss, li miss, gcc hit, compress miss (evicts li), li miss
 	// (evicts gcc), compress hit.
-	if hits, misses := cache.Stats(); hits != 2 || misses != 4 {
-		t.Errorf("stats = %d hits, %d misses; want 2, 4", hits, misses)
+	// Every run follows another key, so each refills the warm slot.
+	if st := cache.Stats(); st != (PrewarmStats{Hits: 2, Misses: 4, WarmFills: 6}) {
+		t.Errorf("stats = %+v; want 2 hits, 4 misses, 6 warm fills", st)
 	}
 }
 
@@ -294,8 +310,9 @@ func TestPrewarmCacheReplayAborts(t *testing.T) {
 }
 
 // TestStreamGroups pins the grouping schedulers dispatch by: one group
-// per distinct stream, members in submission order, groups in order of
-// first appearance — and the identity on an already-grouped list.
+// per distinct stream, members ordered by first appearance of their
+// cache geometry and in submission order within one, groups in order
+// of first appearance — and the identity on an already-grouped list.
 func TestStreamGroups(t *testing.T) {
 	mk := func(bench string, seed uint64, size int) Config {
 		c := prewarmCacheConfig(bench, size, mem.PortConfig{Kind: mem.DuplicatePorts}, false, "")
@@ -307,13 +324,199 @@ func TestStreamGroups(t *testing.T) {
 	cfgs = append(cfgs, cfgs[0])
 	cfgs[5].PrewarmMode = PrewarmFastForward
 	got := StreamGroups(cfgs)
-	want := [][]int{{0, 2, 5}, {1, 4}, {3}}
+	// Config 5 has config 0's 16 KB geometry, so it moves ahead of
+	// config 2's 32 KB one.
+	want := [][]int{{0, 5, 2}, {1, 4}, {3}}
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Errorf("StreamGroups = %v, want %v", got, want)
 	}
 	grouped := []Config{cfgs[0], cfgs[2], cfgs[1], cfgs[4], cfgs[3]}
 	if got := StreamGroups(grouped); fmt.Sprint(got) != fmt.Sprint([][]int{{0, 1}, {2, 3}, {4}}) {
 		t.Errorf("grouped input regrouped: %v", got)
+	}
+}
+
+// TestPrewarmCacheWarmShared pins the warm slot's contract in order:
+// runs of one stream over three cache geometries (one a sectored
+// row-buffer cache over a DRAM cache, whose warm evictions fill the L1
+// spill map), two port organizations each, dispatched in StreamGroups
+// order, capture one warm state per geometry and apply it to the
+// other organization, every result equal to its cold run, stream hash
+// and invariant checker included.
+func TestPrewarmCacheWarmShared(t *testing.T) {
+	cache := NewPrewarmCache()
+	var cfgs []Config
+	for _, ports := range []mem.PortConfig{{Kind: mem.DuplicatePorts}, {Kind: mem.BankedPorts, Count: 8}} {
+		for _, size := range []int{16 << 10, 64 << 10} {
+			cfgs = append(cfgs, prewarmCacheConfig("gcc", size, ports, ports.Kind == mem.DuplicatePorts, PrewarmFastForward))
+		}
+		sectored := prewarmCacheConfig("gcc", 16<<10, ports, false, PrewarmFastForward)
+		sectored.Memory = mem.CustomDRAMSystemLines(16<<10, 512, 1, 6, ports.Kind == mem.DuplicatePorts)
+		sectored.Memory.L1.Ports = ports
+		sectored.Memory.L1.SectorBytes = 32
+		cfgs = append(cfgs, sectored)
+	}
+	opts := RunOpts{Check: true, Hash: true}
+	shared := opts
+	shared.Prewarm = cache
+	for _, g := range StreamGroups(cfgs) {
+		for _, i := range g {
+			got, err := RunContext(context.Background(), cfgs[i], shared)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cold, err := RunContext(context.Background(), cfgs[i], opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, cold) {
+				t.Errorf("config %d: applied warm state differs from a cold run", i)
+			}
+		}
+	}
+	if st := cache.Stats(); st != (PrewarmStats{Hits: 5, Misses: 1, WarmFills: 3, WarmApplies: 3}) {
+		t.Errorf("stats = %+v; want 5 hits, 1 miss, 3 warm fills, 3 warm applies", st)
+	}
+
+	// The whole machine state at the end of prewarm matches too, the
+	// parts no Result reads (such as the L1 spill map) included.
+	fresh := RunOpts{Prewarm: NewPrewarmCache()}
+	for _, g := range StreamGroups(cfgs) {
+		for _, i := range g {
+			if got, want := prewarmedState(t, cfgs[i], fresh), prewarmedState(t, cfgs[i], RunOpts{}); got != want {
+				t.Errorf("config %d: machine state after a shared prewarm differs from a cold one", i)
+			}
+		}
+	}
+	if st := fresh.Prewarm.Stats(); st.WarmApplies != 3 {
+		t.Errorf("stats = %+v; want 3 warm applies", st)
+	}
+}
+
+// prewarmedState runs cfg's prewarm alone and returns the machine's
+// whole exported state after it.
+func prewarmedState(t *testing.T, cfg Config, opts RunOpts) string {
+	t.Helper()
+	b, err := NewBatch(context.Background(), []Config{cfg}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	if !b.Step() {
+		t.Fatal(b.lanes[0].err)
+	}
+	data, err := json.Marshal(b.lanes[0].m.exportState(phaseWarmup, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// gatedSource is a stream source whose region listing — the first
+// thing a prewarm does — blocks until release closes, then panics or
+// proceeds.
+type gatedSource struct {
+	workload.Source
+	release chan struct{}
+	panics  bool
+}
+
+func (g *gatedSource) Regions() []workload.RegionInfo {
+	<-g.release
+	if g.panics {
+		panic("gated source")
+	}
+	return g.Source.Regions()
+}
+
+// TestPrewarmCacheWarmFillFailure pins what a failed warm fill leaves:
+// a fill that is aborted, or that panics, releases the run waiting on
+// it without publishing a warm state; the waiter prewarms the long way
+// to its cold result, and the next run of the key fills the slot
+// afresh.
+func TestPrewarmCacheWarmFillFailure(t *testing.T) {
+	for _, panics := range []bool{false, true} {
+		t.Run(fmt.Sprintf("panics=%v", panics), func(t *testing.T) {
+			cache := NewPrewarmCache()
+			cfg := prewarmCacheConfig("gcc", 32<<10, mem.PortConfig{Kind: mem.DuplicatePorts}, false, PrewarmFastForward)
+			waiterCfg := prewarmCacheConfig("gcc", 32<<10, mem.PortConfig{Kind: mem.BankedPorts, Count: 8}, true, PrewarmFastForward)
+			b, err := NewBatch(context.Background(), []Config{cfg}, RunOpts{Prewarm: cache})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			m := b.lanes[0].m
+			gate := &gatedSource{Source: m.gen, release: make(chan struct{}), panics: panics}
+			m.gen = gate
+			filled := make(chan error, 1)
+			go func() {
+				defer func() {
+					if p := recover(); p != nil {
+						filled <- fmt.Errorf("panicked: %v", p)
+					}
+				}()
+				filled <- cache.warm(m)
+			}()
+			waitSlot(t, cache, func(s *warmSlot) bool { return s.filling })
+
+			type outcome struct {
+				res Result
+				err error
+			}
+			waiter := make(chan outcome, 1)
+			go func() {
+				res, err := RunContext(context.Background(), waiterCfg, RunOpts{Hash: true, Prewarm: cache})
+				waiter <- outcome{res, err}
+			}()
+			waitSlot(t, cache, func(s *warmSlot) bool { return s.readers == 1 })
+			if !panics {
+				m.stop.Store(true) // the sweep's first poll aborts the fill
+			}
+			close(gate.release)
+			if err := <-filled; err == nil {
+				t.Fatal("failed fill reported success")
+			}
+			w := <-waiter
+			if w.err != nil {
+				t.Fatal(w.err)
+			}
+			cold, err := RunContext(context.Background(), waiterCfg, RunOpts{Hash: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(w.res, cold) {
+				t.Error("released waiter's result differs from a cold run")
+			}
+			if st := cache.Stats(); st.WarmFills != 0 || st.WarmApplies != 0 {
+				t.Errorf("stats = %+v; a failed fill published warm state", st)
+			}
+			waitSlot(t, cache, func(s *warmSlot) bool { return !s.filling && !s.ok && s.readers == 0 })
+
+			if _, err := RunContext(context.Background(), cfg, RunOpts{Prewarm: cache}); err != nil {
+				t.Fatal(err)
+			}
+			if st := cache.Stats(); st.WarmFills != 1 {
+				t.Errorf("stats = %+v; want the next run to fill the slot", st)
+			}
+		})
+	}
+}
+
+// waitSlot polls the cache's warm slot until cond holds.
+func waitSlot(t *testing.T, c *PrewarmCache, cond func(*warmSlot) bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		c.mu.Lock()
+		ok := cond(&c.slot)
+		c.mu.Unlock()
+		if ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("warm slot never reached the expected state")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"errors"
 	"os"
@@ -117,6 +119,39 @@ func TestRestoreRoundTripStable(t *testing.T) {
 		if string(want) != string(got) {
 			t.Errorf("%s state not a round-trip fixed point:\nsnapshot: %s\nrestored: %s", name, want, got)
 		}
+	}
+}
+
+// TestSnapshotShapeStable pins the snapshot file of one unsectored
+// mid-run checkpoint byte for byte. The digest was recorded when every
+// tag array still allocated its metadata words, so the file equals one
+// written then — which this run then resumes bit-identically.
+func TestSnapshotShapeStable(t *testing.T) {
+	cfg := resumeConfig("gcc", mem.PortConfig{Kind: mem.BankedPorts, Count: 8}, true)
+	cfg.PrewarmInsts, cfg.MeasureInsts = 20_000, 10_000
+	straight, err := RunContext(context.Background(), cfg, RunOpts{Hash: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap := filepath.Join(t.TempDir(), "mid.json")
+	if _, err := RunContext(context.Background(), cfg, RunOpts{Hash: true, SnapshotPath: snap, SnapshotAt: 6_000}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(data)
+	const want = "242f96ccf4e1bb22a96bc5b2f590adae441533cdab1af7828f390361cd3194d5"
+	if got := hex.EncodeToString(sum[:]); got != want {
+		t.Errorf("snapshot digest %s, want %s", got, want)
+	}
+	resumed, err := RunContext(context.Background(), cfg, RunOpts{Hash: true, Resume: snap})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(resumed, straight) {
+		t.Error("resumed run differs from the straight-through run")
 	}
 }
 

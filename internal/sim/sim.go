@@ -288,10 +288,12 @@ type RunOpts struct {
 	// broken machine must not be resumed) or in sampled mode.
 	SnapshotOnAbort string
 
-	// Prewarm, when non-nil, shares the functional prewarm prefix of a
-	// fresh generator-backed run with other runs of the same stream
-	// through the cache (see PrewarmCache). Results are bit-identical
-	// either way; nil drains the prefix cold, the reference path.
+	// Prewarm, when non-nil, shares the functional prewarm of a fresh
+	// generator-backed run with other runs of the same stream through
+	// the cache (see PrewarmCache): the prefix, and the finished warm
+	// state of runs that also share a cache geometry. Results are
+	// bit-identical either way; nil sweeps and drains cold, the
+	// reference path.
 	// Batch lanes that share a stream ring ignore it: they already
 	// share one drain.
 	Prewarm *PrewarmCache
@@ -540,23 +542,26 @@ func (m *machine) sweep() error {
 
 // prewarm brings a fresh machine that reads its own source to steady
 // state, standing in for the paper's >100M-instruction runs: the
-// region sweep, then the prewarm window — functional (through
-// RunOpts.Prewarm when one is set and the stream is synthetic), or
-// timed, in which case step runs it. The same, already-advanced source
-// then feeds the core: the measured window must not re-walk stream
-// prefixes the timing model never fetched.
+// region sweep, then the prewarm window. A functional prewarm of a
+// synthetic stream goes through RunOpts.Prewarm when one is set,
+// which may replace both steps with another run's finished warm state
+// (see PrewarmCache); otherwise the machine sweeps and drains the
+// window itself. A timed prewarm sweeps here and leaves the window to
+// step. Either way the same, already-advanced source then feeds the
+// core: the measured window must not re-walk stream prefixes the
+// timing model never fetched.
 func (m *machine) prewarm() error {
-	if err := m.sweep(); err != nil {
-		return err
-	}
 	if m.cfg.PrewarmMode == PrewarmTiming {
+		if err := m.sweep(); err != nil {
+			return err
+		}
 		m.phase, m.remaining = phasePrewarm, m.cfg.PrewarmInsts
 		return nil
 	}
 	var err error
 	if m.opts.Prewarm != nil && m.cfg.Trace == nil {
 		err = m.opts.Prewarm.warm(m)
-	} else {
+	} else if err = m.sweep(); err == nil {
 		err = m.fastForward(m.cfg.PrewarmInsts, nil)
 	}
 	if err != nil {
