@@ -208,9 +208,9 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	var (
 		addr       = fs.String("addr", ":8080", "listen address")
 		cacheDir   = fs.String("cache-dir", "", "content-addressed result cache directory (empty = caching off)")
-		snapDir    = fs.String("snapshot-dir", "", "checkpoint directory: jobs share prewarm snapshots and budget-truncated jobs park resumable checkpoints (POST /v1/jobs/{id}/resume)")
+		snapDir    = fs.String("snapshot-dir", "", "checkpoint directory: budget-truncated jobs park resumable checkpoints here (POST /v1/jobs/{id}/resume); forces -batch 1")
 		workers    = fs.Int("j", 0, "concurrent simulations (0 = all CPUs)")
-		batch      = fs.Int("batch", 1, "lockstep simulations per worker: drain up to N queued jobs and step them as one batch, sharing stream generation and prewarm (1 = off; ignored with -snapshot-dir and in coordinator role)")
+		batch      = fs.Int("batch", 1, "lockstep simulations per worker: drain up to N queued jobs and step them as one batch, sharing stream generation and prewarm (1 = off; ignored with -snapshot-dir, whose checkpoints are one run's state, and in coordinator role)")
 		queueSize  = fs.Int("queue", 64, "bounded job queue size; a full queue answers 429")
 		jobTimeout = fs.Duration("job-timeout", 0, "per-job wall-time cap (0 = none)")
 		retryAfter = fs.Duration("retry-after", time.Second, "backoff hint sent with 429 responses")

@@ -79,9 +79,9 @@ func main() {
 		insts    = flag.Uint64("insts", sim.DefaultMeasure, "measured instructions per point")
 		pwMode   = flag.String("prewarm-mode", "", "prewarm mode: fast-forward (default) or timing")
 		workers  = flag.Int("j", runtime.NumCPU(), "parallel simulation workers")
-		batch    = flag.Int("batch", 1, "lockstep simulations per worker: each worker steps up to N points as one batch, sharing stream generation and prewarm (1 = off; ignored with -snapshot-dir)")
+		batch    = flag.Int("batch", 1, "lockstep simulations per worker: each worker steps up to N points as one batch, sharing stream generation and prewarm (1 = off; ignored with -snapshot-dir, whose checkpoints are one run's state)")
 		cacheDir = flag.String("cache-dir", "", "content-addressed result cache directory (empty = caching off)")
-		snapDir  = flag.String("snapshot-dir", "", "checkpoint directory: sweep neighbors share prewarm snapshots and budget-truncated points park resumable checkpoints here")
+		snapDir  = flag.String("snapshot-dir", "", "checkpoint directory: budget-truncated points park resumable checkpoints here and a re-run resumes them; forces -batch 1")
 		sample   = flag.String("sample", "", "interval sampling plan \"interval,window,warmup\" in instructions, applied to every point")
 		progress = flag.Bool("progress", false, "report progress on stderr while the sweep runs")
 		timeout  = flag.Duration("timeout", 0, "wall-clock budget per point (0 = unlimited); a point over budget fails the sweep")

@@ -1,9 +1,10 @@
 package runner
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
-	"os"
 	"reflect"
 	"testing"
 	"time"
@@ -174,39 +175,53 @@ func TestBatchedRetryFallback(t *testing.T) {
 	}
 }
 
-// TestBatchedSnapshotDirWins pins the documented interaction for the
-// two mutually exclusive prewarm-sharing mechanisms: with SnapshotDir
-// set, batching is disabled and the snapshot path keeps producing its
-// shared prewarm checkpoints.
+// TestBatchedSnapshotDirWins pins the one interaction left between
+// abort snapshots and batching: with SnapshotDir set, batching is off
+// (an abort snapshot is one run's state), while the batches of one
+// still share their stream's prewarm through the prewarm cache and
+// produce exactly the results of a runner without a snapshot
+// directory.
 func TestBatchedSnapshotDirWins(t *testing.T) {
-	dir := t.TempDir()
-	r, err := New(Options{Workers: 2, BatchSize: 8, SnapshotDir: dir})
+	r, err := New(Options{Workers: 1, BatchSize: 8, SnapshotDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.BatchSize() != 1 {
 		t.Fatalf("BatchSize() = %d with SnapshotDir set, want 1 (snapshot path wins)", r.BatchSize())
 	}
-	// Two configs sharing a prewarm projection: the second should find
-	// the first's prewarm snapshot.
+	plain, err := New(Options{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.runOpts.Hash, plain.runOpts.Hash = true, true
+	// One stream, one cache geometry, three timing organizations: the
+	// first fills the warm slot and the other two apply it.
 	a := realConfig(0)
 	b := realConfig(0)
-	b.Memory.L1.HitCycles = 3 // timing-only change, same prewarm projection
-	jrs, err := r.Run(context.Background(), []sim.Config{a, b})
+	b.Memory.L1.HitCycles = 3
+	c := realConfig(0)
+	c.Memory.L1.Ports = mem.PortConfig{Kind: mem.BankedPorts, Count: 8}
+	cfgs := []sim.Config{a, b, c}
+	jrs, err := r.Run(context.Background(), cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := plain.Run(context.Background(), cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i, jr := range jrs {
-		if jr.Err != nil {
-			t.Fatalf("job %d: %v", i, jr.Err)
+		if jr.Err != nil || want[i].Err != nil {
+			t.Fatalf("job %d: %v / %v", i, jr.Err, want[i].Err)
+		}
+		got, _ := json.Marshal(jr.Result)
+		exp, _ := json.Marshal(want[i].Result)
+		if jr.Result.StreamHash == 0 || !bytes.Equal(got, exp) {
+			t.Errorf("job %d: SnapshotDir result differs from a plain runner's:\n got %s\nwant %s", i, got, exp)
 		}
 	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(ents) == 0 {
-		t.Error("SnapshotDir is empty: prewarm snapshot sharing was lost")
+	if m := r.Metrics(); m.PrewarmHits != 2 || m.PrewarmWarmApplies != 2 {
+		t.Errorf("SnapshotDir runner: %d prewarm hits, %d warm applies; want 2 and 2", m.PrewarmHits, m.PrewarmWarmApplies)
 	}
 	// And a custom Sim likewise forces batches of one.
 	rs, err := New(Options{BatchSize: 8, Sim: stubSim})

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -102,7 +105,11 @@ func TestRunDispatchOrder(t *testing.T) {
 // geometry, submitted interleaved to a one-worker runner, fill the
 // warm slot exactly once per (stream, geometry) and apply it to the
 // other organization — and every job's Result, stream hash included,
-// is byte-identical to a cold run of its config.
+// is byte-identical to a cold run of its config. The same sweep under
+// a snapshot directory, stopped by its cycle budget early in a longer
+// warmup, still shares the warm slot, and every job's parked abort
+// snapshot is byte-identical to a cold run's: the whole machine,
+// predictor included, before warmup could re-train it.
 func TestRunSharesWarmState(t *testing.T) {
 	var cfgs []sim.Config
 	for _, ports := range []mem.PortConfig{{Kind: mem.DuplicatePorts}, {Kind: mem.BankedPorts, Count: 8}} {
@@ -145,6 +152,48 @@ func TestRunSharesWarmState(t *testing.T) {
 	}
 	if m.PrewarmHits != 10 || m.PrewarmMisses != 2 {
 		t.Errorf("%d prefix hits, %d misses; want 10, 2", m.PrewarmHits, m.PrewarmMisses)
+	}
+
+	dir, coldDir := t.TempDir(), t.TempDir()
+	r, err = New(Options{Workers: 1, SnapshotDir: dir, SimMaxCycles: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.runOpts.Hash = true
+	for i := range cfgs {
+		cfgs[i].WarmupInsts = 20_000 // the budget's first poll, at cycle 1024, lands inside it
+	}
+	jrs, err = r.Run(context.Background(), cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, jr := range jrs {
+		if !errors.Is(jr.Err, sim.ErrBudget) {
+			t.Fatalf("budgeted job %d: err = %v, want ErrBudget", i, jr.Err)
+		}
+		key := mustKey(t, cfgs[i])
+		coldPath := filepath.Join(coldDir, key+".json")
+		opts := sim.RunOpts{Hash: true, MaxCycles: 1, SnapshotOnAbort: coldPath}
+		if _, err := sim.RunContext(context.Background(), cfgs[i], opts); !errors.Is(err, sim.ErrBudget) {
+			t.Fatalf("budgeted cold run %d: err = %v, want ErrBudget", i, err)
+		}
+		if st, err := sim.ReadSnapshot(coldPath, nil); err != nil || st.Phase != "warmup" {
+			t.Fatalf("cold run %d parked no warmup snapshot (err %v)", i, err)
+		}
+		got, err := os.ReadFile(filepath.Join(dir, "abort-"+key+".json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(coldPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("job %d: abort snapshot differs from a cold run's", i)
+		}
+	}
+	if m := r.Metrics(); m.PrewarmWarmFills != 6 || m.PrewarmWarmApplies != 6 {
+		t.Errorf("SnapshotDir runner: %d warm fills, %d applies; want 6 and 6", m.PrewarmWarmFills, m.PrewarmWarmApplies)
 	}
 }
 

@@ -31,6 +31,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/debug"
 	"sync"
@@ -82,16 +84,15 @@ type Options struct {
 	// bit-identical to batches of one and are still content-keyed,
 	// memoized, cached, and returned in submission order; a retryable
 	// lane failure is retried as a batch of one. Ignored when Sim
-	// replaces the simulator or SnapshotDir is set — snapshot prewarm
-	// sharing and lockstep batching are mutually exclusive, and the
-	// snapshot path wins so resumable sweeps keep their checkpoints.
+	// replaces the simulator or SnapshotDir is set: an abort snapshot
+	// is one run's state, which a lockstep batch cannot park or resume.
 	BatchSize int
-	// SnapshotDir, when non-empty, enables checkpoint/restore for the
-	// default simulator: sweep neighbors sharing a prewarm projection
-	// reuse one prewarm snapshot instead of each re-warming from cold,
-	// and budget-truncated jobs (SimMaxCycles/SimTimeout) park an abort
-	// snapshot there so a re-submission resumes instead of restarting.
-	// Ignored when Sim is set.
+	// SnapshotDir, when non-empty, makes the default simulator's
+	// budget-truncated jobs (SimMaxCycles/SimTimeout) park an abort
+	// snapshot there, so a re-submission resumes instead of restarting;
+	// the snapshot is removed once the job completes. Sampled jobs park
+	// nothing. Prewarm sharing through the runner's prewarm cache is
+	// unaffected. Ignored when Sim is set.
 	SnapshotDir string
 	// Faults, when non-nil, is the chaos registry threaded through the
 	// simulator and the disk cache's fault sites.
@@ -203,12 +204,16 @@ type Runner struct {
 	batch   int
 	runOpts sim.RunOpts
 	// prewarm is shared by Run's batches of one whose stream group has
-	// two or more members; nil when Sim or SnapshotDir replaces the
-	// default simulator, or when lockstep batches share their streams
-	// themselves (batch > 1).
+	// two or more members; nil when Sim replaces the default simulator
+	// or when lockstep batches share their streams themselves
+	// (batch > 1).
 	prewarm *sim.PrewarmCache
+	// snapshotDir parks the default simulator's abort snapshots; empty
+	// when off.
+	snapshotDir string
 
-	// sim runs one simulation; tests substitute instrumented stubs.
+	// sim, when non-nil, replaces the default simulator (Options.Sim);
+	// tests substitute instrumented stubs.
 	sim func(ctx context.Context, cfg sim.Config) (sim.Result, error)
 
 	start time.Time
@@ -246,16 +251,6 @@ func New(opts Options) (*Runner, error) {
 		Faults:    opts.Faults,
 		Check:     opts.SimCheck,
 	}
-	simFn := opts.Sim
-	if simFn == nil {
-		if opts.SnapshotDir != "" {
-			simFn = snapshotSim(opts.SnapshotDir, runOpts)
-		} else {
-			simFn = func(ctx context.Context, cfg sim.Config) (sim.Result, error) {
-				return sim.RunContext(ctx, cfg, runOpts)
-			}
-		}
-	}
 	batch := opts.BatchSize
 	if batch < 1 || opts.Sim != nil || opts.SnapshotDir != "" {
 		batch = 1
@@ -268,22 +263,23 @@ func New(opts Options) (*Runner, error) {
 		backoff = 0
 	}
 	var prewarm *sim.PrewarmCache
-	if batch == 1 && opts.Sim == nil && opts.SnapshotDir == "" {
+	if batch == 1 && opts.Sim == nil {
 		prewarm = sim.NewPrewarmCache()
 	}
 	r := &Runner{
-		prewarm:    prewarm,
-		workers:    workers,
-		retries:    opts.Retries,
-		backoff:    backoff,
-		onProgress: opts.OnProgress,
-		onTerminal: opts.OnTerminal,
-		batch:      batch,
-		runOpts:    runOpts,
-		sim:        simFn,
-		start:      time.Now(),
-		memo:       map[string]*memoEntry{},
-		listeners:  map[int]func(Metrics){},
+		prewarm:     prewarm,
+		snapshotDir: opts.SnapshotDir,
+		workers:     workers,
+		retries:     opts.Retries,
+		backoff:     backoff,
+		onProgress:  opts.OnProgress,
+		onTerminal:  opts.OnTerminal,
+		batch:       batch,
+		runOpts:     runOpts,
+		sim:         opts.Sim,
+		start:       time.Now(),
+		memo:        map[string]*memoEntry{},
+		listeners:   map[int]func(Metrics){},
 	}
 	switch {
 	case opts.Store != nil:
@@ -446,6 +442,24 @@ func (r *Runner) RunOne(ctx context.Context, cfg sim.Config) (sim.Result, error)
 	return jrs[0].Result, jrs[0].Err
 }
 
+// Forget drops the memoized outcome for cfg, so the next submission of
+// the same canonical config re-executes instead of replaying the memo.
+// The service's job-resume path needs this: the runner memoizes
+// failures (deterministic sims fail deterministically), but a
+// budget-truncated job that parked an abort snapshot will make fresh
+// progress on re-execution. Callers must not Forget a config while a
+// job for it is still in flight.
+func (r *Runner) Forget(cfg sim.Config) error {
+	key, err := Key(cfg)
+	if err != nil {
+		return err
+	}
+	r.mu.Lock()
+	delete(r.memo, key)
+	r.mu.Unlock()
+	return nil
+}
+
 // job is one submitted config's scheduling state inside Run: its
 // result slot, content key, the memo entry it owns or joined, and
 // whether its stream group has two or more members.
@@ -566,9 +580,14 @@ func (r *Runner) retryFailed(ctx context.Context, j *job, res sim.Result, err er
 // error per lane so a bad design point cannot take down a
 // thousand-point sweep; retries isolate a genuinely poisonous config
 // to its own job. Two or more jobs step in lockstep through
-// sim.RunBatch. A batch of one runs r.sim, or, when its stream group
-// has two or more members, replays its prewarm prefix through the
-// runner's prewarm cache.
+// sim.RunBatch. A batch of one runs r.sim when set; otherwise it runs
+// the default simulator, sharing its prewarm through the runner's
+// prewarm cache when its stream group has two or more members, and
+// under a snapshot directory resuming the job's parked abort snapshot
+// and parking a new one if the budget stops it again. An unusable
+// snapshot (sim.ErrSnapshot: it was quarantined to *.corrupt) costs
+// one cold attempt, never the job; the snapshot is removed once the
+// job completes.
 func (r *Runner) simulate(ctx context.Context, jobs []*job) (res []sim.Result, errs []error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -587,14 +606,30 @@ func (r *Runner) simulate(ctx context.Context, jobs []*job) (res []sim.Result, e
 		}
 		return sim.RunBatch(ctx, cfgs, r.runOpts)
 	}
-	var one sim.Result
-	var err error
-	if j := jobs[0]; j.shared && r.prewarm != nil {
-		opts := r.runOpts
+	j := jobs[0]
+	if r.sim != nil {
+		one, err := r.sim(ctx, j.jr.Config)
+		return []sim.Result{one}, []error{err}
+	}
+	opts := r.runOpts
+	if j.shared {
 		opts.Prewarm = r.prewarm
+	}
+	// Sampled runs neither resume nor park: their retired stream is
+	// discontinuous, so exact resume does not exist for them.
+	if r.snapshotDir != "" && j.jr.Config.Sample == nil {
+		opts.SnapshotOnAbort = filepath.Join(r.snapshotDir, "abort-"+j.key+".json")
+		if _, err := os.Stat(opts.SnapshotOnAbort); err == nil {
+			opts.Resume = opts.SnapshotOnAbort
+		}
+	}
+	one, err := sim.RunContext(ctx, j.jr.Config, opts)
+	if opts.Resume != "" && errors.Is(err, sim.ErrSnapshot) {
+		opts.Resume = ""
 		one, err = sim.RunContext(ctx, j.jr.Config, opts)
-	} else {
-		one, err = r.sim(ctx, j.jr.Config)
+	}
+	if opts.SnapshotOnAbort != "" && err == nil {
+		os.Remove(opts.SnapshotOnAbort)
 	}
 	return []sim.Result{one}, []error{err}
 }

@@ -254,7 +254,7 @@ type Batch struct {
 // more (snapshots are one run's state) or a fault-injection failure at
 // fault.SiteSimRun.
 func NewBatch(ctx context.Context, cfgs []Config, opts RunOpts) (*Batch, error) {
-	if len(cfgs) > 1 && (opts.Resume != "" || opts.SnapshotPath != "" || opts.SnapshotPrewarm != "" || opts.SnapshotOnAbort != "") {
+	if len(cfgs) > 1 && (opts.Resume != "" || opts.SnapshotPath != "" || opts.SnapshotOnAbort != "") {
 		return nil, fmt.Errorf("%w: snapshot options are one run's state and apply only to a batch of one (use RunContext or BatchSize 1)", ErrInvalidConfig)
 	}
 	// The wall budget is installed before anything else so even the

@@ -204,7 +204,6 @@ func TestBatchSnapshotOptsRejected(t *testing.T) {
 	for _, opts := range []RunOpts{
 		{SnapshotPath: dir + "/s.snap", SnapshotAt: 1},
 		{Resume: dir + "/missing.snap"},
-		{SnapshotPrewarm: dir + "/p.snap"},
 		{SnapshotOnAbort: dir + "/a.snap"},
 	} {
 		if _, err := NewBatch(ctx, cfgs, opts); !errors.Is(err, ErrInvalidConfig) {
@@ -218,15 +217,19 @@ func TestBatchSnapshotOptsRejected(t *testing.T) {
 		}
 	}
 
-	// One lane: the prewarm-boundary and mid-run snapshots are written,
-	// and resuming the mid-run one reproduces the straight run.
-	opts := RunOpts{Hash: true, SnapshotPath: dir + "/s.snap", SnapshotAt: 1, SnapshotPrewarm: dir + "/p.snap"}
+	// One lane: the mid-run and abort snapshots are written, and
+	// resuming the mid-run one reproduces the straight run.
+	opts := RunOpts{Hash: true, SnapshotPath: dir + "/s.snap", SnapshotAt: 1}
 	res, errs := RunBatch(ctx, []Config{cfg}, opts)
 	if errs[0] != nil {
 		t.Fatalf("batch of one with snapshot options: %v", errs[0])
 	}
 	requireGolden(t, "batch/gcc/0", cfg, res[0])
-	for _, path := range []string{opts.SnapshotPath, opts.SnapshotPrewarm} {
+	abort := RunOpts{MaxCycles: 5_000, SnapshotOnAbort: dir + "/a.snap"}
+	if _, errs := RunBatch(ctx, []Config{cfg}, abort); !errors.Is(errs[0], ErrBudget) {
+		t.Fatalf("batch of one under a 5000-cycle budget: err = %v, want ErrBudget", errs[0])
+	}
+	for _, path := range []string{opts.SnapshotPath, abort.SnapshotOnAbort} {
 		if _, err := os.Stat(path); err != nil {
 			t.Errorf("batch of one wrote no snapshot: %v", err)
 		}

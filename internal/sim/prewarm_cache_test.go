@@ -186,9 +186,9 @@ func TestPrewarmCacheBypass(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	snap := t.TempDir() + "/prewarm.json"
+	snap := t.TempDir() + "/mid.json"
 	cfg.PrewarmMode = PrewarmFastForward
-	if _, err := RunContext(context.Background(), cfg, RunOpts{SnapshotPrewarm: snap}); err != nil {
+	if _, err := RunContext(context.Background(), cfg, RunOpts{SnapshotPath: snap, SnapshotAt: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := RunContext(context.Background(), cfg, RunOpts{Prewarm: cache, Resume: snap}); err != nil {

@@ -195,33 +195,6 @@ func TestAbortResumeChain(t *testing.T) {
 	}
 }
 
-// TestPrewarmSnapshotShared pins the sweep-sharing contract: a
-// prewarm-boundary snapshot written by one config is resumable by any
-// config agreeing on PrewarmProjection — here one with a different
-// measure window — and the resumed run is bit-identical to that
-// config's own cold run.
-func TestPrewarmSnapshotShared(t *testing.T) {
-	producer := resumeConfig("li", mem.PortConfig{Kind: mem.DuplicatePorts}, false)
-	snap := filepath.Join(t.TempDir(), "prewarm.json")
-	if _, err := RunContext(context.Background(), producer, RunOpts{SnapshotPrewarm: snap}); err != nil {
-		t.Fatal(err)
-	}
-
-	consumer := producer
-	consumer.MeasureInsts = 25_000 // differs from producer; same prewarm projection
-	cold, err := RunContext(context.Background(), consumer, RunOpts{Hash: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := RunContext(context.Background(), consumer, RunOpts{Hash: true, Resume: snap})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(cold, resumed) {
-		t.Fatalf("prewarm-shared resume diverged from cold run:\ncold:    %+v\nresumed: %+v", cold, resumed)
-	}
-}
-
 // TestResumeRejectsWrongConfig: a snapshot from one config must not
 // silently seed a run of another.
 func TestResumeRejectsWrongConfig(t *testing.T) {
@@ -242,8 +215,10 @@ func TestResumeRejectsWrongConfig(t *testing.T) {
 	}
 }
 
-// TestResumeMissingAndCorruptSnapshot: both fall out as ErrSnapshot so
-// callers (the runner) retry cold; corrupt files are quarantined.
+// TestResumeMissingAndCorruptSnapshot: a missing, a corrupt, and a
+// well-sealed snapshot whose cursor has nothing left in its phase all
+// fall out as ErrSnapshot so callers (the runner) retry cold; corrupt
+// files are quarantined.
 func TestResumeMissingAndCorruptSnapshot(t *testing.T) {
 	cfg := resumeConfig("gcc", mem.PortConfig{Kind: mem.IdealPorts, Count: 2}, false)
 	dir := t.TempDir()
@@ -260,6 +235,21 @@ func TestResumeMissingAndCorruptSnapshot(t *testing.T) {
 	}
 	if _, err := os.Stat(corrupt + ".corrupt"); err != nil {
 		t.Fatalf("corrupt snapshot not quarantined: %v", err)
+	}
+	mid := filepath.Join(dir, "mid.json")
+	if _, err := RunContext(context.Background(), cfg, RunOpts{SnapshotPath: mid, SnapshotAt: 6_000}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := ReadSnapshot(mid, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.Phase, st.Remaining = phaseMeasure, 0
+	if err := WriteSnapshot(mid, st, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := RunContext(context.Background(), cfg, RunOpts{Resume: mid}); !errors.Is(err, ErrSnapshot) {
+		t.Fatalf("(measure, 0) snapshot: err=%v, want ErrSnapshot", err)
 	}
 }
 

@@ -47,7 +47,8 @@ const sampledMinSpeedup = 10.0
 // measurement: at least 10x fewer timed measure-phase cycles, at most
 // 2% relative IPC error. Short mode covers the best- and worst-error
 // models; the full run (make sample, the CI sample job) covers all
-// nine.
+// nine. The models run as parallel subtests: each is a lone
+// single-goroutine simulation pair.
 func TestSampledVsFull(t *testing.T) {
 	benches := workload.BenchmarkNames()
 	if testing.Short() {
@@ -55,6 +56,7 @@ func TestSampledVsFull(t *testing.T) {
 	}
 	for _, bench := range benches {
 		t.Run(bench, func(t *testing.T) {
+			t.Parallel()
 			cfg := sampleConfig(bench)
 			cfg.MeasureInsts = validationMeasure
 			full, err := Run(cfg)

@@ -49,7 +49,8 @@ var (
 	ErrCheckFailed = errors.New("sim: invariant check failed")
 	// ErrSnapshot means RunOpts.Resume named a snapshot that could not
 	// be used: missing, corrupt (it was quarantined), from an
-	// incompatible format, or recorded for a different configuration.
+	// incompatible format, recorded for a different configuration, or
+	// with a cursor that has nothing left in its phase.
 	// The caller falls back to a cold start; the run itself was fine.
 	ErrSnapshot = errors.New("sim: unusable snapshot")
 )
@@ -266,10 +267,9 @@ type RunOpts struct {
 	//
 	// Resume restores machine state from the snapshot at this path and
 	// continues the run from there instead of starting cold. The
-	// snapshot must have been recorded for a compatible config: an
-	// identical resolved config, or — for a prewarm-boundary snapshot —
-	// one agreeing on PrewarmProjection. An unusable snapshot fails
-	// with ErrSnapshot (corrupt files are quarantined to *.corrupt).
+	// snapshot must have been recorded for the identical resolved
+	// config. An unusable snapshot fails with ErrSnapshot (corrupt
+	// files are quarantined to *.corrupt).
 	Resume string
 	// SnapshotPath, with SnapshotAt, writes one checkpoint mid-run: at
 	// the first chunk boundary at or after cycle SnapshotAt (on the
@@ -277,11 +277,6 @@ type RunOpts struct {
 	// it reproduces the straight-through run bit-identically.
 	SnapshotPath string
 	SnapshotAt   uint64
-	// SnapshotPrewarm writes a checkpoint at the end-of-prewarm
-	// boundary of a fresh run. Any config with the same
-	// PrewarmProjection can resume it, which is how neighboring sweep
-	// points share one prewarm.
-	SnapshotPrewarm string
 	// SnapshotOnAbort writes a checkpoint when the run stops on a
 	// budget or cancellation during a timed phase, so the next attempt
 	// resumes instead of restarting. Never written on ErrCheckFailed (a
@@ -366,8 +361,7 @@ type machine struct {
 	effMax uint64
 
 	phase     string
-	remaining uint64 // instructions left in the current phase
-	resumed   bool
+	remaining uint64    // instructions left in the current phase
 	smp       *sampler  // the measure phase's interval schedule; nil when exhaustive
 	buf       *drainBuf // fastForward's scratch, allocated on first use
 
@@ -469,9 +463,8 @@ func (m *machine) runTimedChunk() (bool, error) {
 	if err := m.checkErr(); err != nil {
 		return false, err
 	}
-	// Phase-final boundaries (remaining == 0) are excluded: a
-	// remaining-0 warmup snapshot is reserved for the prewarm
-	// boundary, whose resume semantics differ (see restore).
+	// Phase-final boundaries (remaining == 0) are excluded: restore
+	// refuses a cursor with nothing left in its phase.
 	if m.remaining > 0 && m.wantSnapshotAt() {
 		if err := m.saveSnapshot(m.opts.SnapshotPath, m.phase, m.remaining); err != nil {
 			return false, err
@@ -498,7 +491,8 @@ func (m *machine) step() (bool, error) {
 	}
 	switch m.phase {
 	case phasePrewarm:
-		return false, m.enterWarmup()
+		m.phase, m.remaining = phaseWarmup, m.cfg.WarmupInsts
+		return false, nil
 	case phaseWarmup:
 		m.captureBaselines()
 		m.core.ResetStats()
@@ -512,18 +506,6 @@ func (m *machine) step() (bool, error) {
 		return m.sampleStep()
 	}
 	return true, nil
-}
-
-// enterWarmup starts the warmup phase at the end of prewarm, writing
-// the prewarm-boundary snapshot a fresh run was asked for. Remaining 0
-// marks that boundary: a resumer runs its own full warmup, so any
-// config sharing the prewarm projection can pick the snapshot up.
-func (m *machine) enterWarmup() error {
-	m.phase, m.remaining = phaseWarmup, m.cfg.WarmupInsts
-	if m.opts.SnapshotPrewarm != "" && !m.resumed {
-		return m.saveSnapshot(m.opts.SnapshotPrewarm, phaseWarmup, 0)
-	}
-	return nil
 }
 
 // sweep walks every workload region through the tag arrays so anything
@@ -567,7 +549,8 @@ func (m *machine) prewarm() error {
 	if err != nil {
 		return err
 	}
-	return m.enterWarmup()
+	m.phase, m.remaining = phaseWarmup, m.cfg.WarmupInsts
+	return nil
 }
 
 // fastForward drains insts instructions of the machine's own source

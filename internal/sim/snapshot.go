@@ -28,9 +28,7 @@ type MachineState struct {
 	Config Config `json:"config"`
 
 	// Phase and Remaining locate the run: Remaining instructions left in
-	// Phase. The special pair ("warmup", 0) marks the end-of-prewarm
-	// boundary — the resumer runs its own full warmup, so any config
-	// sharing PrewarmProjection can resume it.
+	// Phase, never zero (a snapshot is taken mid-phase).
 	Phase     string `json:"phase"`
 	Remaining uint64 `json:"remaining"`
 
@@ -48,20 +46,6 @@ type MachineState struct {
 	// Stream is present when the producing run hashed its retired
 	// stream (RunOpts.Hash). A resume without it starts a fresh hash.
 	Stream *check.StreamState `json:"stream,omitempty"`
-}
-
-// PrewarmProjection reduces a config to the part that determines
-// machine state at the end-of-prewarm boundary: the benchmark, the
-// seed, the machine geometry, and the prewarm window itself. Configs
-// that agree on it can share one prewarm snapshot (and one
-// content-addressed prewarm cache entry) no matter how their measure
-// windows or sampling plans differ.
-func PrewarmProjection(cfg Config) Config {
-	cfg = cfg.WithDefaults()
-	cfg.WarmupInsts = 0
-	cfg.MeasureInsts = 0
-	cfg.Sample = nil
-	return cfg
 }
 
 // WriteSnapshot seals st into a checksummed snapshot file at path
@@ -110,36 +94,20 @@ func (m *machine) resume(path string) error {
 	if err != nil {
 		return fmt.Errorf("%w: %v", ErrSnapshot, err)
 	}
-	m.resumed = true
 	return nil
 }
 
-// canonicalJSON is the config-identity encoding used to decide whether
-// a snapshot belongs to this run's config.
-func canonicalJSON(cfg Config) ([]byte, error) {
-	return json.Marshal(cfg)
-}
-
 // restore imports a snapshot into the machine. The snapshot must match
-// the machine's resolved config exactly — except a prewarm-boundary
-// snapshot, which only has to agree on PrewarmProjection, since warmup
-// and measure haven't touched state yet at that point. On success the
-// machine's phase cursor, baselines, and rebased cycle budget are in
-// place; on error the machine is unusable and the caller discards it.
+// the machine's resolved config exactly and stop inside a phase, with
+// instructions left to run in it. On success the machine's phase
+// cursor, baselines, and rebased cycle budget are in place; on error
+// the machine is unusable and the caller discards it.
 func (m *machine) restore(st *MachineState) error {
-	var mine, theirs []byte
-	var err error
-	if st.Phase == phaseWarmup && st.Remaining == 0 {
-		mine, err = canonicalJSON(PrewarmProjection(m.cfg))
-		if err == nil {
-			theirs, err = canonicalJSON(PrewarmProjection(st.Config))
-		}
-	} else {
-		mine, err = canonicalJSON(m.cfg)
-		if err == nil {
-			theirs, err = canonicalJSON(st.Config.WithDefaults())
-		}
+	mine, err := json.Marshal(m.cfg)
+	if err != nil {
+		return err
 	}
+	theirs, err := json.Marshal(st.Config.WithDefaults())
 	if err != nil {
 		return err
 	}
@@ -150,6 +118,9 @@ func (m *machine) restore(st *MachineState) error {
 	case phasePrewarm, phaseWarmup, phaseMeasure:
 	default:
 		return fmt.Errorf("snapshot phase %q unknown", st.Phase)
+	}
+	if st.Remaining == 0 {
+		return fmt.Errorf("snapshot cursor (%s, 0) has nothing left in its phase", st.Phase)
 	}
 	if err := m.gen.ImportState(st.Gen); err != nil {
 		return err
@@ -165,16 +136,6 @@ func (m *machine) restore(st *MachineState) error {
 	}
 	m.phase = st.Phase
 	m.remaining = st.Remaining
-	if m.remaining == 0 {
-		// A phase-start cursor — (warmup, 0) is the prewarm boundary —
-		// runs the whole phase.
-		switch m.phase {
-		case phaseWarmup:
-			m.remaining = m.cfg.WarmupInsts
-		case phaseMeasure:
-			m.remaining = m.cfg.MeasureInsts
-		}
-	}
 	m.preLoads = st.PreLoads
 	m.preLoadMiss = st.PreLoadMiss
 	m.preStoreMiss = st.PreStoreMiss
