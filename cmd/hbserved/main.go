@@ -74,41 +74,6 @@ func splitURLs(s string) []string {
 	return out
 }
 
-// clusterStatus maps the coordinator's fleet view onto the service's
-// readiness/metrics types — the glue that keeps the service package
-// from importing the cluster package. It reads only local membership
-// and breaker state; neither /readyz nor /metrics touches the network.
-func clusterStatus(coord *cluster.Coordinator, minWorkers int, journalReplays int64) *service.ClusterStatus {
-	fs := coord.FleetStats()
-	cs := &service.ClusterStatus{
-		Live:           fs.Live,
-		Registered:     fs.Registered,
-		Reachable:      fs.Live, // alias for the probe-based field this replaced
-		Total:          fs.Total,
-		MinWorkers:     minWorkers,
-		LeaseExpiries:  fs.LeaseExpiries,
-		JournalReplays: journalReplays,
-	}
-	for _, h := range coord.Health() {
-		cs.Workers = append(cs.Workers, service.WorkerStatus{
-			URL:          h.URL,
-			Healthy:      h.Healthy,
-			State:        h.State,
-			Permanent:    h.Permanent,
-			Registered:   h.Registered,
-			LeaseAgeMs:   h.LeaseAgeMs,
-			Inflight:     h.Inflight,
-			Dispatched:   h.Dispatched,
-			Completed:    h.Completed,
-			Failed:       h.Failed,
-			Stolen:       h.Stolen,
-			Breaker:      h.Breaker,
-			BreakerOpens: h.BreakerOpens,
-		})
-	}
-	return cs
-}
-
 // advertiseURL derives the base URL a worker registers under: the
 // -advertise override when set, else the bound listen address with
 // unspecified hosts (":8081", "[::]:8081") rewritten to loopback —
@@ -439,8 +404,12 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		}
 	}
 	if coord != nil {
+		// The fleet view reads only local membership and breaker state;
+		// neither /readyz nor /metrics touches the network.
 		svcOpts.ClusterStatus = func(context.Context) *service.ClusterStatus {
-			return clusterStatus(coord, *minWorkers, journalReplays)
+			cs := coord.Status()
+			cs.MinWorkers, cs.JournalReplays = *minWorkers, journalReplays
+			return cs
 		}
 		svcOpts.Membership = coord
 	}

@@ -20,8 +20,8 @@ import (
 
 // Client is the coordinator's HTTP client for one worker: a plain
 // hbserved instance whose existing job/queue/SSE protocol is the worker
-// API. It carries no per-worker policy (breakers, stealing, health live
-// in the Coordinator); what it does own is wire discipline:
+// API. It carries no per-worker policy (breakers, reassignment, health
+// live in the Coordinator); what it does own is wire discipline:
 //
 //   - 429 and 503 responses are retried honoring the server's
 //     Retry-After header (the worker's backpressure and circuit-breaker
@@ -52,7 +52,7 @@ func NewClient(base string, hc *http.Client) *Client {
 		hc = &http.Client{}
 	}
 	return &Client{
-		base:       strings.TrimRight(base, "/"),
+		base:       normalizeURL(base),
 		hc:         hc,
 		maxRetries: 8,
 		retryCap:   15 * time.Second,
@@ -62,9 +62,9 @@ func NewClient(base string, hc *http.Client) *Client {
 // URL reports the worker's base URL.
 func (c *Client) URL() string { return c.base }
 
-// normalizeURL matches the Client's base normalization, so membership
-// lookups by URL agree with the fleet map regardless of trailing
-// slashes.
+// normalizeURL strips trailing slashes from a worker base URL. Both
+// NewClient and the membership calls use it, so lookups by URL agree
+// with the fleet map.
 func normalizeURL(u string) string { return strings.TrimRight(u, "/") }
 
 // errJobFailed marks a job that reached the worker and failed there —
@@ -169,25 +169,6 @@ func (c *Client) Job(ctx context.Context, id string) (service.JobView, error) {
 	return view, err
 }
 
-// SubmitSweep submits a batch, waiting out the worker's backpressure.
-func (c *Client) SubmitSweep(ctx context.Context, cfgs []sim.Config) (service.SweepView, error) {
-	var view service.SweepView
-	err := c.doJSON(ctx, http.MethodPost, "/v1/sweeps", map[string]any{"configs": cfgs}, &view)
-	return view, err
-}
-
-// SweepResults fetches a sweep's per-point outcomes (partial OK).
-func (c *Client) SweepResults(ctx context.Context, id string) (service.SweepResults, error) {
-	var res service.SweepResults
-	err := c.doJSON(ctx, http.MethodGet, "/v1/sweeps/"+id+"/results", nil, &res)
-	return res, err
-}
-
-// Healthz probes the worker's liveness endpoint.
-func (c *Client) Healthz(ctx context.Context) error {
-	return c.doJSON(ctx, http.MethodGet, "/healthz", nil, nil)
-}
-
 // RegisterWorker announces a worker at url to the coordinator this
 // client points at, returning the lease TTL the coordinator grants —
 // the worker must heartbeat well within it to stay in the fleet.
@@ -220,7 +201,7 @@ func (c *Client) DeregisterWorker(ctx context.Context, url string) error {
 // transient stream problem does not fail a multi-minute simulation;
 // ctx remains the overall bound.
 func (c *Client) AwaitJob(ctx context.Context, id string) (service.JobView, error) {
-	streamErr := c.StreamJobEvents(ctx, id, func(ev service.Event) bool {
+	streamErr := c.streamSSE(ctx, "/v1/jobs/"+id+"/events", func(ev service.Event) bool {
 		return !ev.State.Terminal()
 	})
 	if streamErr == nil || errors.Is(streamErr, context.Canceled) || errors.Is(streamErr, context.DeadlineExceeded) {
@@ -256,22 +237,12 @@ func (c *Client) pollJob(ctx context.Context, id string) (service.JobView, error
 	}
 }
 
-// StreamJobEvents follows a job's SSE stream, calling on for each
-// event until on returns false, the server ends the stream (terminal
-// state), or ctx is cancelled (returning ctx's error).
-func (c *Client) StreamJobEvents(ctx context.Context, id string, on func(service.Event) bool) error {
-	return c.streamSSE(ctx, "/v1/jobs/"+id+"/events", on)
-}
-
-// StreamSweepEvents follows a sweep's SSE stream the same way.
-func (c *Client) StreamSweepEvents(ctx context.Context, id string, on func(service.Event) bool) error {
-	return c.streamSSE(ctx, "/v1/sweeps/"+id+"/events", on)
-}
-
-// streamSSE reads an SSE stream on the calling goroutine. The request
-// is bound to ctx, so cancellation closes the response body and the
-// blocked read returns immediately — the no-goroutine-leak guarantee
-// the coordinator's reassignment logic depends on.
+// streamSSE follows the SSE stream at path on the calling goroutine,
+// calling on for each event until on returns false, the server ends the
+// stream (terminal state), or ctx is cancelled (returning ctx's error).
+// The request is bound to ctx, so cancellation closes the response body
+// and the blocked read returns immediately — the no-goroutine-leak
+// guarantee the coordinator's reassignment logic depends on.
 func (c *Client) streamSSE(ctx context.Context, path string, on func(service.Event) bool) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
 	if err != nil {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -101,56 +102,44 @@ func fastOptions(workers ...string) Options {
 	}
 }
 
-func TestPlan(t *testing.T) {
-	cases := []struct {
-		n, k int
-		want [][]int
-	}{
-		{0, 3, [][]int{nil, nil, nil}},
-		{5, 1, [][]int{{0, 1, 2, 3, 4}}},
-		{5, 2, [][]int{{0, 2, 4}, {1, 3}}},
-		{6, 3, [][]int{{0, 3}, {1, 4}, {2, 5}}},
-		{2, 4, [][]int{{0}, {1}, nil, nil}},
-		{4, 0, [][]int{{0, 1, 2, 3}}}, // k<=0 degrades to one shard
+// slowSim is stubSim after a 5ms pause, so a sweep's dispatches
+// overlap and the least-loaded pick spreads them over the fleet.
+func slowSim(ctx context.Context, cfg sim.Config) (sim.Result, error) {
+	if !retry.Sleep(ctx, 5*time.Millisecond) {
+		return sim.Result{}, ctx.Err()
 	}
-	for _, tc := range cases {
-		got := Plan(tc.n, tc.k)
-		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
-			t.Errorf("Plan(%d, %d) = %v, want %v", tc.n, tc.k, got, tc.want)
-		}
-	}
-	// Every point appears exactly once, and shard sizes differ by at
-	// most one (balance).
-	got := Plan(17, 5)
-	seen := map[int]int{}
-	for _, shard := range got {
-		for _, p := range shard {
-			seen[p]++
-		}
-		if len(shard) < 17/5 || len(shard) > 17/5+1 {
-			t.Errorf("Plan(17,5) unbalanced shard of %d points", len(shard))
-		}
-	}
-	for p := 0; p < 17; p++ {
-		if seen[p] != 1 {
-			t.Errorf("Plan(17,5) point %d assigned %d times", p, seen[p])
-		}
-	}
+	return stubSim(ctx, cfg)
 }
 
-// TestClusterDedupExactlyOnce is the cluster-wide dedup pin: a
-// coordinator over two workers sharing one remote store runs two
-// overlapping sweeps, and each unique config is simulated exactly once
-// across the whole fleet — the overlap is served from the shared store,
-// asserted via its hit counters.
+// runSweep runs cfgs the way the coordinator's hbserved does: a runner
+// whose simulator is coord.Run, four points in flight per worker. Each
+// call builds a fresh runner, so its memo holds this sweep alone and
+// any overlap with an earlier sweep reaches the fleet.
+func runSweep(ctx context.Context, coord *Coordinator, cfgs []sim.Config) ([]runner.JobResult, error) {
+	r, err := runner.New(runner.Options{Workers: 4 * len(coord.Health()), Sim: coord.Run})
+	if err != nil {
+		return nil, err
+	}
+	return r.Run(ctx, cfgs)
+}
+
+// TestClusterDedupExactlyOnce is the cluster-wide dedup pin: workers
+// sharing one remote store run two overlapping sweeps, and each unique
+// config is simulated exactly once across the whole fleet — the overlap
+// is served from the shared store, asserted via its hit counters. Sweep
+// A spreads over w1 and w2; both then drain and w3 joins, so every
+// overlap point of sweep B reaches a worker that never ran it (a worker
+// that had would answer from its own job dedup, not the store).
 func TestClusterDedupExactlyOnce(t *testing.T) {
 	srv, storeURL := newSharedStore(t)
-	w1 := newTestWorker(t, runner.NewRemoteStore(storeURL, nil, nil), nil)
-	w2 := newTestWorker(t, runner.NewRemoteStore(storeURL, nil, nil), nil)
+	w1 := newTestWorker(t, runner.NewRemoteStore(storeURL, nil, nil), slowSim)
+	w2 := newTestWorker(t, runner.NewRemoteStore(storeURL, nil, nil), slowSim)
+	w3 := newTestWorker(t, runner.NewRemoteStore(storeURL, nil, nil), slowSim)
 	coord, err := New(fastOptions(w1.ts.URL, w2.ts.URL))
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer coord.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -176,22 +165,33 @@ func TestClusterDedupExactlyOnce(t *testing.T) {
 		}
 	}
 
-	resA, err := coord.RunSweep(ctx, sweepA)
+	resA, err := runSweep(ctx, coord, sweepA)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("sweepA", resA, sweepA)
+	// Both workers actually participated (overlapping dispatches go to
+	// the least-loaded worker).
+	if w1.sims.Load() == 0 || w2.sims.Load() == 0 {
+		t.Errorf("lopsided fleet: w1=%d w2=%d simulations", w1.sims.Load(), w2.sims.Load())
+	}
 
-	resB, err := coord.RunSweep(ctx, sweepB)
+	coord.Register(w3.ts.URL)
+	coord.Deregister(w1.ts.URL)
+	coord.Deregister(w2.ts.URL)
+	resB, err := runSweep(ctx, coord, sweepB)
 	if err != nil {
 		t.Fatal(err)
 	}
 	check("sweepB", resB, sweepB)
 
 	const unique = 9 // 0..8
-	if total := w1.sims.Load() + w2.sims.Load(); total != unique {
-		t.Errorf("fleet simulated %d times (w1=%d w2=%d), want exactly %d — one per unique config",
-			total, w1.sims.Load(), w2.sims.Load(), unique)
+	if total := w1.sims.Load() + w2.sims.Load() + w3.sims.Load(); total != unique {
+		t.Errorf("fleet simulated %d times (w1=%d w2=%d w3=%d), want exactly %d — one per unique config",
+			total, w1.sims.Load(), w2.sims.Load(), w3.sims.Load(), unique)
+	}
+	if got := w3.sims.Load(); got != 3 {
+		t.Errorf("w3 simulated %d times, want 3 (points 6..8)", got)
 	}
 	st := srv.Stats()
 	if st.Puts != unique {
@@ -200,49 +200,11 @@ func TestClusterDedupExactlyOnce(t *testing.T) {
 	if st.Hits != 3 {
 		t.Errorf("store served %d hits, want 3 (the A∩B overlap)", st.Hits)
 	}
-	// Both workers actually participated (the plan interleaves).
-	if w1.sims.Load() == 0 || w2.sims.Load() == 0 {
-		t.Errorf("lopsided fleet: w1=%d w2=%d simulations", w1.sims.Load(), w2.sims.Load())
-	}
-}
-
-// TestRunSweepInBatchDedup pins the coordinator's own dedup: duplicate
-// configs inside one sweep dispatch once and fan back out as memo hits.
-func TestRunSweepInBatchDedup(t *testing.T) {
-	w := newTestWorker(t, nil, nil)
-	coord, err := New(fastOptions(w.ts.URL))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgs := []sim.Config{testConfig(1), testConfig(2), testConfig(1), testConfig(1)}
-	res, err := coord.RunSweep(context.Background(), cfgs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	memo := 0
-	for i, jr := range res {
-		if jr.Err != nil {
-			t.Fatalf("point %d: %v", i, jr.Err)
-		}
-		if jr.MemoHit {
-			memo++
-		}
-		want, _ := stubSim(context.Background(), cfgs[i])
-		if jr.Result.Cycles != want.Cycles {
-			t.Errorf("point %d cycles = %d, want %d", i, jr.Result.Cycles, want.Cycles)
-		}
-	}
-	if memo != 2 {
-		t.Errorf("memo hits = %d, want 2 (two duplicates of point 0)", memo)
-	}
-	if got := w.sims.Load(); got != 2 {
-		t.Errorf("worker simulated %d times, want 2 unique configs", got)
-	}
 }
 
 // TestDeadWorkerReassignment: one worker is unreachable from the start;
-// its whole planned shard must reassign to the live peer, the sweep
-// must complete, and the dead worker's breaker must open.
+// every point dispatched to it must reassign to the live peer, the
+// sweep must complete, and the dead worker's breaker must open.
 func TestDeadWorkerReassignment(t *testing.T) {
 	w := newTestWorker(t, nil, nil)
 	dead := deadWorkerURL(t)
@@ -259,7 +221,7 @@ func TestDeadWorkerReassignment(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = testConfig(i)
 	}
-	res, err := coord.RunSweep(ctx, cfgs)
+	res, err := runSweep(ctx, coord, cfgs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,14 +243,6 @@ func TestDeadWorkerReassignment(t *testing.T) {
 	if health[1].Completed != 10 {
 		t.Errorf("live worker completed %d points, want all 10", health[1].Completed)
 	}
-	if health[1].Stolen == 0 {
-		t.Error("live worker recorded no steals despite absorbing the dead shard")
-	}
-
-	reach, total := coord.Reachable(ctx)
-	if reach != 1 || total != 2 {
-		t.Errorf("Reachable = %d/%d, want 1/2", reach, total)
-	}
 }
 
 // TestWorkerKilledMidSweep kills a worker while a sweep is in flight:
@@ -296,17 +250,10 @@ func TestDeadWorkerReassignment(t *testing.T) {
 // drops, poll fails, the point rotates to the survivor) and the sweep
 // still completes with every point accounted for.
 func TestWorkerKilledMidSweep(t *testing.T) {
-	slow := func(ctx context.Context, cfg sim.Config) (sim.Result, error) {
-		if !retry.Sleep(ctx, 5*time.Millisecond) {
-			return sim.Result{}, ctx.Err()
-		}
-		return stubSim(ctx, cfg)
-	}
-	w1 := newTestWorker(t, nil, slow)
-	w2 := newTestWorker(t, nil, slow)
+	w1 := newTestWorker(t, nil, slowSim)
+	w2 := newTestWorker(t, nil, slowSim)
 	opts := fastOptions(w1.ts.URL, w2.ts.URL)
 	opts.BreakerThreshold = 2
-	opts.PerWorker = 2
 	coord, err := New(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +270,7 @@ func TestWorkerKilledMidSweep(t *testing.T) {
 	var sweepErr error
 	go func() {
 		defer close(done)
-		res, sweepErr = coord.RunSweep(ctx, cfgs)
+		res, sweepErr = runSweep(ctx, coord, cfgs)
 	}()
 
 	// Let the sweep get going, then kill worker 2's listener: in-flight
@@ -391,18 +338,20 @@ func TestAllWorkersDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, err = coord.Run(context.Background(), testConfig(1))
-	if err == nil {
-		t.Fatal("Run with a dead fleet succeeded")
+	if !errors.Is(err, ErrNoWorkers) {
+		t.Fatalf("Run with a dead fleet = %v, want ErrNoWorkers", err)
 	}
-	reach, total := coord.Reachable(context.Background())
-	if reach != 0 || total != 1 {
-		t.Errorf("Reachable = %d/%d, want 0/1", reach, total)
+	if h := coord.Health(); h[0].Healthy || h[0].Breaker != "open" {
+		t.Errorf("dead worker health = %+v, want an open breaker", h[0])
 	}
 }
 
-// TestHedgingStealsFromStraggler: the planned worker sits on the point
-// past HedgeAfter; the hedge lands on the fast peer and its result
-// wins, recorded as a steal.
+// TestHedgingStealsFromStraggler: the point's primary attempt stalls
+// on slow, and a blocker then stalls on fast, so when the hedge fires
+// both workers hold one point. The hedge must still avoid slow, the
+// worker holding the primary (whose own dedup would join the hedge to
+// the stalled job), and land on fast, whose result wins well inside
+// the deadline.
 func TestHedgingStealsFromStraggler(t *testing.T) {
 	release := make(chan struct{})
 	stall := func(ctx context.Context, cfg sim.Config) (sim.Result, error) {
@@ -413,43 +362,73 @@ func TestHedgingStealsFromStraggler(t *testing.T) {
 		}
 		return stubSim(ctx, cfg)
 	}
+	point, blocker := testConfig(7), testConfig(99)
 	slow := newTestWorker(t, nil, stall)
-	fast := newTestWorker(t, nil, nil)
-	t.Cleanup(func() { close(release) }) // unblock any straggler before shutdown
+	fast := newTestWorker(t, nil, func(ctx context.Context, cfg sim.Config) (sim.Result, error) {
+		if cfg.Seed == blocker.Seed {
+			return stall(ctx, cfg)
+		}
+		return stubSim(ctx, cfg)
+	})
+	t.Cleanup(func() { close(release) }) // unblock the stalled jobs before shutdown
 
-	opts := Options{
+	coord, err := New(Options{
 		Workers:      []string{slow.ts.URL, fast.ts.URL},
 		HedgeAfter:   50 * time.Millisecond,
 		RetryBackoff: -1,
-	}
-	coord, err := New(opts)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
 	defer cancel()
 
-	start := time.Now()
-	res, err := coord.runPoint(ctx, testConfig(7), coord.workers[0]) // planned onto the straggler
-	if err != nil {
-		t.Fatal(err)
+	type res struct {
+		r   sim.Result
+		err error
 	}
-	want, _ := stubSim(ctx, testConfig(7))
-	if res.Cycles != want.Cycles {
-		t.Errorf("hedged result = %+v, want %+v", res, want)
+	done := make(chan res, 1)
+	go func() {
+		r, err := coord.Run(ctx, point)
+		done <- res{r, err}
+	}()
+	// The point goes first, to slow (loads tie, slow is the earlier
+	// member); the blocker then goes to the idle fast.
+	for coord.Health()[0].Inflight == 0 {
+		if ctx.Err() != nil {
+			t.Fatal("the point was never dispatched")
+		}
+		time.Sleep(time.Millisecond)
 	}
-	if elapsed := time.Since(start); elapsed > 10*time.Second {
-		t.Errorf("hedge took %v, should win long before the straggler", elapsed)
+	bctx, bcancel := context.WithCancel(ctx)
+	blocked := make(chan struct{})
+	go func() {
+		defer close(blocked)
+		_, _ = coord.Run(bctx, blocker)
+	}()
+	defer func() {
+		bcancel()
+		<-blocked
+	}()
+
+	out := <-done
+	if out.err != nil {
+		t.Fatalf("hedged point failed: %v (the hedge went back to the straggler)", out.err)
 	}
-	health := coord.Health()
-	if health[1].Completed != 1 || health[1].Stolen != 1 {
-		t.Errorf("fast worker health = %+v, want the point completed and counted stolen", health[1])
+	if want, _ := stubSim(ctx, point); out.r.Cycles != want.Cycles {
+		t.Errorf("hedged result = %+v, want %+v", out.r, want)
+	}
+	// The blocker never completes, so fast's one completion is the
+	// hedged point. (The blocker's own hedge lands on slow, so slow's
+	// dispatch count says nothing about the point.)
+	if h := coord.Health()[1]; h.Completed != 1 {
+		t.Errorf("fast worker health = %+v, want the hedged point completed", h)
 	}
 }
 
-// TestRunSweepCancellation: cancelling mid-sweep returns promptly with
+// TestSweepCancellation: cancelling mid-sweep returns promptly with
 // every unfinished point carrying the cancellation error.
-func TestRunSweepCancellation(t *testing.T) {
+func TestSweepCancellation(t *testing.T) {
 	block := make(chan struct{})
 	defer close(block)
 	stall := func(ctx context.Context, cfg sim.Config) (sim.Result, error) {
@@ -473,7 +452,7 @@ func TestRunSweepCancellation(t *testing.T) {
 	for i := range cfgs {
 		cfgs[i] = testConfig(i)
 	}
-	res, err := coord.RunSweep(ctx, cfgs)
+	res, err := runSweep(ctx, coord, cfgs)
 	if err == nil {
 		t.Fatal("cancelled sweep returned nil error")
 	}

@@ -1,5 +1,5 @@
 // Package cluster is the distributed sweep fabric: a coordinator that
-// shards design-space points across a fleet of worker processes over
+// spreads design-space points across a fleet of worker processes over
 // HTTP. Workers are plain hbserved instances — the existing job/queue/
 // SSE protocol is the worker API — so the fleet is just N copies of the
 // same binary pointed at a shared result store.
@@ -8,13 +8,15 @@
 // embarrassingly parallel: hundreds of independent (benchmark × cache
 // organization) points. The coordinator exploits that three ways:
 //
-//   - Sharding: a sweep's points are planned round-robin across workers
-//     (Plan), then dispatched dynamically — a worker that drains its
-//     share steals from the backlog, so one slow box never gates the
-//     sweep (work-stealing reassignment of straggler shards).
+//   - Dispatch: each point goes to the least-loaded admissible worker
+//     at the moment it is dispatched, so a worker that drains its points
+//     takes the next ones and one slow box never gates the sweep. Run
+//     has the signature of runner.Options.Sim: the caller's runner picks
+//     the order and concurrency, the coordinator only the worker.
 //   - Hedging: a point that outlives Options.HedgeAfter is duplicated
-//     on a second worker; the first terminal result wins. Stragglers
-//     cost one duplicate simulation instead of the sweep's tail latency.
+//     on a different worker than the one holding it; the first terminal
+//     result wins. Stragglers cost one duplicate simulation instead of
+//     the sweep's tail latency.
 //   - Fault routing: every dispatch goes through a per-worker circuit
 //     breaker and exponential backoff (internal/retry, the primitives
 //     the service and runner use too). A dead worker's points reassign
@@ -62,9 +64,6 @@ type Options struct {
 	Workers []string
 	// HTTP, when non-nil, is the client used for all worker traffic.
 	HTTP *http.Client
-	// PerWorker is how many points RunSweep keeps in flight per worker.
-	// Zero selects 4.
-	PerWorker int
 	// HedgeAfter is how long a dispatched point may run before a
 	// duplicate is hedged onto another worker (first result wins).
 	// Zero selects 30s; negative disables hedging.
@@ -83,11 +82,8 @@ type Options struct {
 	// BreakerCooldown is how long an open worker breaker waits before
 	// admitting a half-open probe. Zero selects 10s.
 	BreakerCooldown time.Duration
-	// ProbeTimeout bounds each health probe in Reachable. Zero
-	// selects 2s.
-	ProbeTimeout time.Duration
 	// LeaseTTL is how long a registered worker's lease lives without a
-	// heartbeat before the reaper expires it and steals its shards.
+	// heartbeat before the reaper expires it and reassigns its points.
 	// Zero selects 15s.
 	LeaseTTL time.Duration
 	// JoinGrace is how long a dispatch will wait on an empty fleet for
@@ -101,15 +97,9 @@ type Options struct {
 	// Faults, when non-nil, arms the cluster.dispatch and
 	// cluster.heartbeat chaos sites.
 	Faults *fault.Registry
-	// OnProgress, when non-nil, is called after every completed
-	// RunSweep point with (done, failed, total). Calls are serialized.
-	OnProgress func(done, failed, total int)
 }
 
 func (o Options) withDefaults() Options {
-	if o.PerWorker <= 0 {
-		o.PerWorker = 4
-	}
 	switch {
 	case o.HedgeAfter == 0:
 		o.HedgeAfter = 30 * time.Second
@@ -133,9 +123,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.BreakerCooldown <= 0 {
 		o.BreakerCooldown = 10 * time.Second
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 2 * time.Second
 	}
 	if o.LeaseTTL <= 0 {
 		o.LeaseTTL = 15 * time.Second
@@ -182,7 +169,6 @@ type worker struct {
 	dispatched int64
 	completed  int64
 	failed     int64
-	stolen     int64
 }
 
 func (w *worker) load() int {
@@ -191,49 +177,7 @@ func (w *worker) load() int {
 	return w.inflight
 }
 
-// WorkerHealth is one worker's externally visible state, exported on
-// the coordinator's readiness endpoint and /metrics.
-type WorkerHealth struct {
-	URL string `json:"url"`
-	// Healthy means the worker is dispatchable: active membership
-	// (not draining, lease not expired) with a breaker that is not open.
-	Healthy bool `json:"healthy"`
-	// State is the membership state: active, draining, or expired.
-	State string `json:"state"`
-	// Permanent marks a seed worker from -workers; Registered one that
-	// self-registered and holds a heartbeat lease.
-	Permanent  bool `json:"permanent"`
-	Registered bool `json:"registered"`
-	// LeaseAgeMs is milliseconds since the last heartbeat, or -1 for a
-	// permanent worker that never registered (no lease to age).
-	LeaseAgeMs int64 `json:"lease_age_ms"`
-	Inflight   int   `json:"inflight"`
-	// Dispatched counts points handed to this worker; Completed those
-	// that returned results; Failed dispatch-level failures (transport,
-	// protocol — not job-level simulation errors); Stolen points this
-	// worker executed for a shard planned onto a peer.
-	Dispatched   int64  `json:"dispatched"`
-	Completed    int64  `json:"completed"`
-	Failed       int64  `json:"failed"`
-	Stolen       int64  `json:"stolen"`
-	Breaker      string `json:"breaker"`
-	BreakerOpens int64  `json:"breaker_opens"`
-}
-
-// Stats is the coordinator's fleet-level view for readiness and
-// metrics.
-type Stats struct {
-	// Total is the fleet size including draining and expired members.
-	Total int
-	// Live is how many workers are currently dispatchable.
-	Live int
-	// Registered is how many live workers hold a heartbeat lease.
-	Registered int
-	// LeaseExpiries counts leases the reaper has expired since start.
-	LeaseExpiries int64
-}
-
-// Coordinator shards simulation points across a worker fleet.
+// Coordinator dispatches simulation points to a worker fleet.
 type Coordinator struct {
 	opts   Options
 	faults *fault.Registry
@@ -248,12 +192,6 @@ type Coordinator struct {
 	reaperOnce    sync.Once
 	closeOnce     sync.Once
 	reaperStop    chan struct{}
-
-	// progressMu serializes OnProgress and the counters behind it.
-	progressMu sync.Mutex
-	done       int
-	failed     int
-	total      int
 }
 
 // New builds a Coordinator. The seed fleet may be empty: workers can
@@ -407,24 +345,12 @@ func (c *Coordinator) snapshotFleet() []*worker {
 	return out
 }
 
-// WorkerURLs reports the fleet's base URLs in join order, including
-// draining and expired members.
-func (c *Coordinator) WorkerURLs() []string {
-	c.fleetMu.RLock()
-	defer c.fleetMu.RUnlock()
-	out := make([]string, len(c.workers))
-	for i, w := range c.workers {
-		out[i] = w.client.URL()
-	}
-	return out
-}
-
 // Health reports every worker's current state without touching the
 // network: healthy means membership and breaker both admit dispatches.
-func (c *Coordinator) Health() []WorkerHealth {
+func (c *Coordinator) Health() []service.WorkerStatus {
 	c.fleetMu.RLock()
 	defer c.fleetMu.RUnlock()
-	out := make([]WorkerHealth, len(c.workers))
+	out := make([]service.WorkerStatus, len(c.workers))
 	for i, w := range c.workers {
 		state, opens := w.br.State()
 		ms := "active"
@@ -439,7 +365,7 @@ func (c *Coordinator) Health() []WorkerHealth {
 			leaseAge = time.Since(w.lease).Milliseconds()
 		}
 		w.mu.Lock()
-		out[i] = WorkerHealth{
+		out[i] = service.WorkerStatus{
 			URL:          w.client.URL(),
 			Healthy:      w.dispatchableLocked() && state != retry.Open,
 			State:        ms,
@@ -450,7 +376,6 @@ func (c *Coordinator) Health() []WorkerHealth {
 			Dispatched:   w.dispatched,
 			Completed:    w.completed,
 			Failed:       w.failed,
-			Stolen:       w.stolen,
 			Breaker:      state.String(),
 			BreakerOpens: opens,
 		}
@@ -459,125 +384,51 @@ func (c *Coordinator) Health() []WorkerHealth {
 	return out
 }
 
-// FleetStats summarizes the fleet for readiness quorum and /metrics.
-func (c *Coordinator) FleetStats() Stats {
-	c.fleetMu.RLock()
-	defer c.fleetMu.RUnlock()
-	st := Stats{Total: len(c.workers), LeaseExpiries: c.leaseExpiries.Load()}
-	for _, w := range c.workers {
-		if !w.dispatchableLocked() {
-			continue
-		}
-		if brState, _ := w.br.State(); brState == retry.Open {
-			continue
-		}
-		st.Live++
-		if w.registered {
-			st.Registered++
-		}
-	}
-	return st
-}
-
-// Reachable actively probes every worker's liveness endpoint in
-// parallel (bounded by Options.ProbeTimeout each) and reports how many
-// answered, alongside the fleet size. Lease-based readiness replaced it
-// on /readyz, but it remains the active-probe utility.
-func (c *Coordinator) Reachable(ctx context.Context) (reachable, total int) {
-	c.fleetMu.RLock()
-	fleet := append([]*worker(nil), c.workers...)
-	c.fleetMu.RUnlock()
-	var (
-		wg sync.WaitGroup
-		mu sync.Mutex
-	)
-	for _, w := range fleet {
-		wg.Add(1)
-		go func(w *worker) {
-			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, c.opts.ProbeTimeout)
-			defer cancel()
-			if w.client.Healthz(pctx) == nil {
-				mu.Lock()
-				reachable++
-				mu.Unlock()
+// Status is the fleet view behind readiness and /metrics: Health plus
+// the fleet counts. The caller fills the fields the coordinator does
+// not own (MinWorkers, JournalReplays).
+func (c *Coordinator) Status() *service.ClusterStatus {
+	cs := &service.ClusterStatus{Workers: c.Health(), LeaseExpiries: c.leaseExpiries.Load()}
+	cs.Total = len(cs.Workers)
+	for _, w := range cs.Workers {
+		if w.Healthy {
+			cs.Live++
+			if w.Registered {
+				cs.Registered++
 			}
-		}(w)
+		}
 	}
-	wg.Wait()
-	return reachable, len(fleet)
+	cs.Reachable = cs.Live // alias for the probe-based field this replaced
+	return cs
 }
 
-// Plan is the shard planner: it assigns n points to k shards
-// round-robin (shard j owns points j, j+k, j+2k, …), so shards stay
-// balanced within one point and in-order dispatch touches every worker
-// from the first k points instead of queueing the whole prefix on
-// worker 0. The assignment is a preference, not a contract — dynamic
-// stealing and failure reassignment override it at dispatch time.
-func Plan(n, k int) [][]int {
-	if k <= 0 {
-		k = 1
-	}
-	shards := make([][]int, k)
-	for i := 0; i < n; i++ {
-		shards[i%k] = append(shards[i%k], i)
-	}
-	return shards
-}
-
-// pick selects the worker for one dispatch attempt: the planned owner
-// if its breaker admits it and it is not overloaded relative to the
-// least-loaded peer (slack of 2 in-flight points), otherwise the
-// least-loaded admissible worker — that switch is the steal. avoid
-// names a worker that just failed this point; it is skipped unless it
-// is the only admissible one. Returns nil when no worker is
-// dispatchable.
-func (c *Coordinator) pick(preferred, avoid *worker) *worker {
+// pick selects the worker for one dispatch attempt: the least-loaded
+// admissible worker, ties to the earliest member. avoid names a worker
+// that just failed this point, or that holds it when a hedge fires; it
+// is used only when it is the only admissible one. Returns nil when no
+// worker is dispatchable.
+func (c *Coordinator) pick(avoid *worker) *worker {
 	fleet := c.snapshotFleet()
 	type cand struct {
 		w    *worker
 		load int
 	}
 	cands := make([]cand, 0, len(fleet))
-	minLoad := -1
-	preferredLive := false
 	for _, w := range fleet {
-		l := w.load()
-		cands = append(cands, cand{w, l})
-		if minLoad < 0 || l < minLoad {
-			minLoad = l
-		}
-		if w == preferred {
-			preferredLive = true
-		}
+		cands = append(cands, cand{w, w.load()})
 	}
-	sort.SliceStable(cands, func(i, j int) bool { return cands[i].load < cands[j].load })
-
-	// Build the preference order: planned owner first (when lightly
-	// loaded), then by load; the failed worker goes last.
-	order := make([]*worker, 0, len(cands)+1)
-	if preferredLive && preferred != avoid && preferred.load() <= minLoad+2 {
-		order = append(order, preferred)
-	}
-	var avoided *worker
-	for _, cd := range cands {
-		if len(order) > 0 && cd.w == order[0] {
-			continue
+	// By load, ties to the earlier member; the avoided worker goes last.
+	sort.SliceStable(cands, func(i, j int) bool {
+		if ai, aj := cands[i].w == avoid, cands[j].w == avoid; ai != aj {
+			return aj
 		}
-		if cd.w == avoid {
-			avoided = cd.w
-			continue
-		}
-		order = append(order, cd.w)
-	}
-	if avoided != nil {
-		order = append(order, avoided)
-	}
+		return cands[i].load < cands[j].load
+	})
 	// Allow() is side-effectful (a half-open breaker admits exactly one
 	// probe), so it is asked only about the worker actually chosen.
-	for _, w := range order {
-		if w.br.Allow() {
-			return w
+	for _, cd := range cands {
+		if cd.w.br.Allow() {
+			return cd.w
 		}
 	}
 	return nil
@@ -587,31 +438,24 @@ func (c *Coordinator) pick(preferred, avoid *worker) *worker {
 // signature of runner.Options.Sim, which is exactly how the
 // coordinator's hbserved wires it in: the service's queue, dedup,
 // breaker, and SSE machinery all stay, only "simulate" now means
-// "dispatch to a worker". Includes cross-worker reassignment on
-// failure and hedging for stragglers.
+// "dispatch to a worker". The point runs as a primary attempt chain,
+// with cross-worker reassignment on failure, plus one hedged duplicate
+// on a different worker if the primary outlives HedgeAfter. The first
+// success wins and cancels the other chain.
 func (c *Coordinator) Run(ctx context.Context, cfg sim.Config) (sim.Result, error) {
-	return c.runPoint(ctx, cfg, nil)
-}
-
-// outcome is one dispatch attempt chain's final word on a point.
-type outcome struct {
-	res sim.Result
-	err error
-	w   *worker // worker that produced res, nil if none
-}
-
-// runPoint drives one point to completion: a primary attempt chain,
-// plus one hedged duplicate if the primary outlives HedgeAfter. The
-// first success wins and cancels the other chain.
-func (c *Coordinator) runPoint(ctx context.Context, cfg sim.Config, preferred *worker) (sim.Result, error) {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
+	// Buffered for both chains, so the losing one never blocks on send
+	// after Run returns.
 	ch := make(chan outcome, 2)
-	launch := func(avoid *worker) {
-		res, w, err := c.attemptChain(cctx, cfg, preferred, avoid)
-		ch <- outcome{res: res, err: err, w: w}
+	// primary is the worker the primary chain is on, which the hedge
+	// avoids.
+	var primary atomic.Pointer[worker]
+	launch := func(avoid *worker, cur *atomic.Pointer[worker]) {
+		res, err := c.attemptChain(cctx, cfg, avoid, cur)
+		ch <- outcome{res: res, err: err}
 	}
-	go launch(nil)
+	go launch(nil, &primary)
 	inflight := 1
 
 	var hedgeC <-chan time.Time
@@ -626,14 +470,6 @@ func (c *Coordinator) runPoint(ctx context.Context, cfg sim.Config, preferred *w
 		select {
 		case o := <-ch:
 			if o.err == nil {
-				cancel()
-				if preferred != nil && o.w != nil && o.w != preferred {
-					o.w.mu.Lock()
-					o.w.stolen++
-					o.w.mu.Unlock()
-				}
-				// Drain the losing chain (bounded: channel holds 2) so
-				// nothing blocks on send after we return.
 				return o.res, nil
 			}
 			if firstErr == nil {
@@ -646,12 +482,15 @@ func (c *Coordinator) runPoint(ctx context.Context, cfg sim.Config, preferred *w
 		case <-hedgeC:
 			hedgeC = nil
 			inflight++
-			// The straggling primary is somewhere; the hedge avoids the
-			// planned owner so it lands on a different worker whenever
-			// the fleet has one.
-			go launch(preferred)
+			go launch(primary.Load(), nil)
 		}
 	}
+}
+
+// outcome is one dispatch attempt chain's final word on a point.
+type outcome struct {
+	res sim.Result
+	err error
 }
 
 // retryLimit is the attempt bound for one chain: the configured value,
@@ -670,10 +509,12 @@ func (c *Coordinator) retryLimit() int {
 // attemptChain tries a point on up to retryLimit workers, with backoff
 // between attempts: transport and protocol failures rotate to the next
 // worker (reassignment); a job that *ran* and failed is deterministic
-// and surfaces immediately. An empty fleet waits out JoinGrace for the
-// first registration instead of burning attempts — a sweep submitted
-// before any worker exists completes once one joins.
-func (c *Coordinator) attemptChain(ctx context.Context, cfg sim.Config, preferred, avoid *worker) (sim.Result, *worker, error) {
+// and surfaces immediately. avoid is a worker to try last; cur, when
+// non-nil, is kept pointing at the worker of the current attempt. An
+// empty fleet waits out JoinGrace for the first registration instead
+// of burning attempts — a sweep submitted before any worker exists
+// completes once one joins.
+func (c *Coordinator) attemptChain(ctx context.Context, cfg sim.Config, avoid *worker, cur *atomic.Pointer[worker]) (sim.Result, error) {
 	var lastErr error
 	start := time.Now()
 	for attempt := 0; attempt < c.retryLimit(); attempt++ {
@@ -683,7 +524,7 @@ func (c *Coordinator) attemptChain(ctx context.Context, cfg sim.Config, preferre
 			}
 			break
 		}
-		w := c.pick(preferred, avoid)
+		w := c.pick(avoid)
 		if w == nil {
 			lastErr = ErrNoWorkers
 			if len(c.snapshotFleet()) == 0 && time.Since(start) < c.opts.JoinGrace {
@@ -700,22 +541,25 @@ func (c *Coordinator) attemptChain(ctx context.Context, cfg sim.Config, preferre
 			}
 			continue
 		}
+		if cur != nil {
+			cur.Store(w)
+		}
 		res, err := c.runOn(ctx, w, cfg)
 		if err == nil {
-			return res, w, nil
+			return res, nil
 		}
 		lastErr = err
 		if JobFailed(err) || ctx.Err() != nil {
-			return sim.Result{}, w, err
+			return sim.Result{}, err
 		}
-		// This worker failed the point at the transport level: stop
-		// preferring the plan, try a different worker next.
-		preferred, avoid = nil, w
+		// This worker failed the point at the transport level: try a
+		// different worker next.
+		avoid = w
 		if !retry.Backoff(ctx, c.opts.RetryBackoff, attempt) {
 			break
 		}
 	}
-	return sim.Result{}, nil, fmt.Errorf("cluster: dispatch exhausted after retries: %w", lastErr)
+	return sim.Result{}, fmt.Errorf("cluster: dispatch exhausted after retries: %w", lastErr)
 }
 
 // runOn dispatches one point to one worker and waits for its terminal
@@ -749,7 +593,7 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, cfg sim.Config) (sim
 	}()
 
 	// Bind the dispatch to the worker's membership: lease expiry cancels
-	// every in-flight point on it (shard stealing), without touching the
+	// every in-flight point on it (reassignment), without touching the
 	// caller's ctx.
 	dctx, cancel := context.WithCancel(ctx)
 	defer cancel()
@@ -787,101 +631,4 @@ func (c *Coordinator) runOn(ctx context.Context, w *worker, cfg sim.Config) (sim
 	w.completed++
 	w.mu.Unlock()
 	return *view.Result, nil
-}
-
-// RunSweep executes a batch across the fleet and returns one JobResult
-// per config in submission order, mirroring runner.Run's contract:
-// per-point failures land in the corresponding JobResult.Err, and the
-// returned error is non-nil only on cancellation. Points that share a
-// canonical key are dispatched once and fanned back out as memo hits,
-// so a sweep with overlap costs the fleet one simulation per unique
-// config even before the shared store weighs in.
-func (c *Coordinator) RunSweep(ctx context.Context, cfgs []sim.Config) ([]runner.JobResult, error) {
-	n := len(cfgs)
-	results := make([]runner.JobResult, n)
-
-	// In-batch dedup on the canonical key.
-	firstOf := map[string]int{}
-	dupOf := make([]int, n) // dupOf[i] = index of the point i duplicates, or -1
-	var uniq []int
-	for i := range cfgs {
-		dupOf[i] = -1
-		key, err := runner.Key(cfgs[i])
-		if err != nil {
-			results[i] = runner.JobResult{Config: cfgs[i], Err: fmt.Errorf("cluster: keying config %d: %w", i, err)}
-			continue
-		}
-		if j, ok := firstOf[key]; ok {
-			dupOf[i] = j
-			continue
-		}
-		firstOf[key] = i
-		uniq = append(uniq, i)
-	}
-
-	c.progressMu.Lock()
-	c.total += len(uniq)
-	c.progressMu.Unlock()
-
-	fleet := c.snapshotFleet()
-	plan := Plan(len(uniq), len(fleet))
-	owner := make(map[int]*worker, len(uniq)) // point index -> planned worker
-	for shard, points := range plan {
-		for _, u := range points {
-			if shard < len(fleet) {
-				owner[uniq[u]] = fleet[shard]
-			}
-		}
-	}
-
-	conc := c.opts.PerWorker * max(1, len(fleet))
-	perr := runner.Parallel(ctx, conc, len(uniq), func(u int) error {
-		i := uniq[u]
-		started := time.Now()
-		res, err := c.runPoint(ctx, cfgs[i], owner[i])
-		results[i] = runner.JobResult{
-			Config:   cfgs[i],
-			Result:   res,
-			Err:      err,
-			Wall:     time.Since(started),
-			Attempts: 1,
-		}
-		c.progress(err != nil)
-		return nil // per-point errors live in results; never abort peers
-	})
-
-	for i := range results {
-		if j := dupOf[i]; j >= 0 {
-			results[i] = results[j]
-			results[i].Config = cfgs[i]
-			results[i].MemoHit = true
-		}
-	}
-	if perr != nil {
-		// Points the dispatcher never reached are still zero values;
-		// account for every slot like runner.Run does.
-		for i := range results {
-			if results[i].Attempts == 0 && results[i].Err == nil && !results[i].MemoHit {
-				results[i].Config = cfgs[i]
-				results[i].Err = perr
-			}
-		}
-		return results, perr
-	}
-	return results, nil
-}
-
-// progress folds one finished point into the counters and fires the
-// progress callback, serialized.
-func (c *Coordinator) progress(failed bool) {
-	c.progressMu.Lock()
-	defer c.progressMu.Unlock()
-	if failed {
-		c.failed++
-	} else {
-		c.done++
-	}
-	if c.opts.OnProgress != nil {
-		c.opts.OnProgress(c.done, c.failed, c.total)
-	}
 }

@@ -29,7 +29,7 @@ func TestRegisterHeartbeatDeregister(t *testing.T) {
 	if isNew, _ := coord.Register("http://w1:9"); isNew {
 		t.Error("re-register (modulo trailing slash) reported the worker as new")
 	}
-	if st := coord.FleetStats(); st.Total != 1 || st.Live != 1 || st.Registered != 1 {
+	if st := coord.Status(); st.Total != 1 || st.Live != 1 || st.Registered != 1 {
 		t.Errorf("fleet after register = %+v, want 1/1/1", st)
 	}
 	if !coord.Heartbeat(ctx, "http://w1:9") {
@@ -47,7 +47,7 @@ func TestRegisterHeartbeatDeregister(t *testing.T) {
 	if len(h) != 1 || h[0].State != "draining" || h[0].Healthy {
 		t.Errorf("health after deregister = %+v, want draining and not dispatchable", h)
 	}
-	if st := coord.FleetStats(); st.Live != 0 {
+	if st := coord.Status(); st.Live != 0 {
 		t.Errorf("draining worker still counted live: %+v", st)
 	}
 
@@ -115,7 +115,7 @@ func TestLeaseExpiryStealsShards(t *testing.T) {
 	if want, _ := stubSim(ctx, testConfig(3)); out.r.Cycles != want.Cycles {
 		t.Errorf("stolen point result = %+v, want %+v", out.r, want)
 	}
-	if st := coord.FleetStats(); st.LeaseExpiries == 0 {
+	if st := coord.Status(); st.LeaseExpiries == 0 {
 		t.Error("lease expiry not counted")
 	}
 	for _, h := range coord.Health() {

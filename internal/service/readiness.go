@@ -10,26 +10,29 @@ import (
 )
 
 // WorkerStatus is one cluster worker's state as readiness and /metrics
-// report it. It mirrors the cluster package's per-worker health record;
-// the duplication is the price of keeping the service free of a
-// dependency on the cluster package (which imports this one).
+// report it. The cluster coordinator fills it directly (the cluster
+// package imports this one, never the reverse).
 type WorkerStatus struct {
-	URL     string `json:"url"`
-	Healthy bool   `json:"healthy"`
+	URL string `json:"url"`
+	// Healthy means the worker is dispatchable: active membership with
+	// a breaker that is not open.
+	Healthy bool `json:"healthy"`
 	// State is the membership state: active, draining (deregistered,
 	// finishing in-flight work), or expired (lease reaped).
 	State string `json:"state"`
 	// Permanent marks a seed worker from -workers; Registered one that
 	// self-registered and holds a heartbeat lease. LeaseAgeMs is
 	// milliseconds since the last heartbeat, -1 when there is no lease.
-	Permanent    bool   `json:"permanent"`
-	Registered   bool   `json:"registered"`
-	LeaseAgeMs   int64  `json:"lease_age_ms"`
-	Inflight     int    `json:"inflight"`
+	Permanent  bool  `json:"permanent"`
+	Registered bool  `json:"registered"`
+	LeaseAgeMs int64 `json:"lease_age_ms"`
+	Inflight   int   `json:"inflight"`
+	// Dispatched counts points handed to the worker; Completed those
+	// that returned results; Failed dispatch-level failures (transport,
+	// protocol — not job-level simulation errors).
 	Dispatched   int64  `json:"dispatched"`
 	Completed    int64  `json:"completed"`
 	Failed       int64  `json:"failed"`
-	Stolen       int64  `json:"stolen"`
 	Breaker      string `json:"breaker"`
 	BreakerOpens int64  `json:"breaker_opens"`
 }
