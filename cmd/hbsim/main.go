@@ -21,10 +21,10 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
 	"strings"
 
 	"hbcache/internal/cpu"
+	"hbcache/internal/fo4"
 	"hbcache/internal/mem"
 	"hbcache/internal/sim"
 	"hbcache/internal/workload"
@@ -86,7 +86,7 @@ func main() {
 	if *dram > 0 {
 		memory = mem.DefaultDRAMSystem(*dram, *lb)
 	} else {
-		bytes, err := parseSize(*size)
+		bytes, err := fo4.ParseSize(*size)
 		if err != nil {
 			fatal(err)
 		}
@@ -113,7 +113,7 @@ func main() {
 		PrewarmMode:  sim.PrewarmMode(*prewarm),
 	}
 	if *sample != "" {
-		spec, err := parseSample(*sample)
+		spec, err := sim.ParseSampleSpec(*sample)
 		if err != nil {
 			fatal(err)
 		}
@@ -188,42 +188,6 @@ func main() {
 		fmt.Printf("sampled              %d windows, %d/%d insts timed, %.1fx timed-cycle speedup, ±%.2f%% IPC (95%% CI)\n",
 			sm.Windows, sm.TimedInsts, sm.TotalInsts, sm.Speedup, 100*sm.IPCErrorBound)
 	}
-}
-
-// parseSample decodes "interval,window,warmup" (instruction counts)
-// into a sampling plan.
-func parseSample(s string) (*sim.SampleSpec, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 3 {
-		return nil, fmt.Errorf("bad -sample %q: want \"interval,window,warmup\"", s)
-	}
-	var vals [3]uint64
-	for i, p := range parts {
-		n, err := strconv.ParseUint(strings.TrimSpace(p), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -sample %q: %v", s, err)
-		}
-		vals[i] = n
-	}
-	return &sim.SampleSpec{IntervalInsts: vals[0], WindowInsts: vals[1], WarmupInsts: vals[2]}, nil
-}
-
-func parseSize(s string) (int, error) {
-	s = strings.ToUpper(strings.TrimSpace(s))
-	mult := 1
-	switch {
-	case strings.HasSuffix(s, "M"):
-		mult = 1 << 20
-		s = strings.TrimSuffix(s, "M")
-	case strings.HasSuffix(s, "K"):
-		mult = 1 << 10
-		s = strings.TrimSuffix(s, "K")
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return n * mult, nil
 }
 
 func fatal(err error) {

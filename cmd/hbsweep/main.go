@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"hbcache/internal/cpu"
+	"hbcache/internal/fo4"
 	"hbcache/internal/mem"
 	"hbcache/internal/runner"
 	"hbcache/internal/sim"
@@ -135,14 +136,14 @@ func main() {
 	}
 	var err error
 	if *sample != "" {
-		if spec.sample, err = parseSample(*sample); err != nil {
+		if spec.sample, err = sim.ParseSampleSpec(*sample); err != nil {
 			fatal(err)
 		}
 	}
 	if spec.benches, err = parseBenches(*benches); err != nil {
 		fatal(err)
 	}
-	if spec.sizes, err = parseList(*sizes, parseSize); err != nil {
+	if spec.sizes, err = parseList(*sizes, fo4.ParseSize); err != nil {
 		fatal(err)
 	}
 	if spec.hits, err = parseList(*hits, strconv.Atoi); err != nil {
@@ -252,13 +253,10 @@ func parseBenches(s string) ([]string, error) {
 	if s == "all" {
 		return workload.BenchmarkNames(), nil
 	}
-	names := strings.Split(s, ",")
-	for _, n := range names {
-		if _, err := workload.ModelFor(n); err != nil {
-			return nil, err
-		}
-	}
-	return names, nil
+	return parseList(s, func(name string) (string, error) {
+		_, err := workload.ModelFor(name)
+		return name, err
+	})
 }
 
 func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
@@ -271,42 +269,6 @@ func parseList[T any](s string, parse func(string) (T, error)) ([]T, error) {
 		out = append(out, v)
 	}
 	return out, nil
-}
-
-func parseSize(s string) (int, error) {
-	s = strings.ToUpper(s)
-	mult := 1
-	switch {
-	case strings.HasSuffix(s, "M"):
-		mult = 1 << 20
-		s = strings.TrimSuffix(s, "M")
-	case strings.HasSuffix(s, "K"):
-		mult = 1 << 10
-		s = strings.TrimSuffix(s, "K")
-	}
-	n, err := strconv.Atoi(s)
-	if err != nil {
-		return 0, fmt.Errorf("bad size %q", s)
-	}
-	return n * mult, nil
-}
-
-// parseSample decodes "interval,window,warmup" (instruction counts)
-// into a sampling plan.
-func parseSample(s string) (*sim.SampleSpec, error) {
-	parts := strings.Split(s, ",")
-	if len(parts) != 3 {
-		return nil, fmt.Errorf("bad -sample %q: want \"interval,window,warmup\"", s)
-	}
-	var vals [3]uint64
-	for i, p := range parts {
-		n, err := strconv.ParseUint(strings.TrimSpace(p), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -sample %q: %v", s, err)
-		}
-		vals[i] = n
-	}
-	return &sim.SampleSpec{IntervalInsts: vals[0], WindowInsts: vals[1], WarmupInsts: vals[2]}, nil
 }
 
 func parsePorts(s string) (mem.PortConfig, error) {

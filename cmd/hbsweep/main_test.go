@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
+	"hbcache/internal/fo4"
 	"hbcache/internal/mem"
 )
 
@@ -128,9 +130,11 @@ func TestParseBenches(t *testing.T) {
 	if err != nil || len(all) != 9 {
 		t.Errorf("parseBenches(all) = %d, %v", len(all), err)
 	}
-	two, err := parseBenches("gcc,tomcatv")
-	if err != nil || len(two) != 2 {
-		t.Errorf("parseBenches(gcc,tomcatv) = %v, %v", two, err)
+	for _, in := range []string{"gcc,tomcatv", "gcc, tomcatv", " gcc ,tomcatv "} {
+		two, err := parseBenches(in)
+		if err != nil || !slices.Equal(two, []string{"gcc", "tomcatv"}) {
+			t.Errorf("parseBenches(%q) = %q, %v", in, two, err)
+		}
 	}
 	if _, err := parseBenches("gcc,nope"); err == nil {
 		t.Error("unknown benchmark should fail")
@@ -138,7 +142,7 @@ func TestParseBenches(t *testing.T) {
 }
 
 func TestParseListSizes(t *testing.T) {
-	got, err := parseList("8K, 32K,1M", parseSize)
+	got, err := parseList("8K, 32K,1M", fo4.ParseSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +152,7 @@ func TestParseListSizes(t *testing.T) {
 			t.Errorf("sizes[%d] = %d, want %d", i, got[i], want[i])
 		}
 	}
-	if _, err := parseList("8K,huh", parseSize); err == nil {
+	if _, err := parseList("8K,huh", fo4.ParseSize); err == nil {
 		t.Error("bad size should fail")
 	}
 }

@@ -97,7 +97,7 @@ func (c *funcCache) access(addr uint64, store bool) (bool, evicted) {
 
 // touchDirty installs addr's line dirty without counting a miss — the
 // functional analogue of a write-back arriving from the level above
-// (L2Cache.WriteBack fills without charging a miss). Present lines are
+// (LowerCache.WriteBack fills without charging a miss). Present lines are
 // promoted and marked dirty.
 func (c *funcCache) touchDirty(addr uint64) evicted {
 	si, line := c.set(addr)
@@ -142,7 +142,7 @@ func (c *funcCache) Misses() uint64 { return c.misses }
 // the timing model's: on an L1 miss the second level is accessed
 // first, then the L1 fill's dirty victim is written back down (where
 // it fills the second level without counting a miss, as
-// L2Cache.WriteBack does).
+// LowerCache.WriteBack does).
 type funcHier struct {
 	l1 *funcCache
 	l2 *funcCache // nil when the config has no second level

@@ -104,19 +104,13 @@ func RunDifferential(cfg DiffConfig) (*Report, error) {
 		return nil, err
 	}
 
-	rep := &Report{
+	return &Report{
 		Golden:                golden.Totals(),
 		OOO:                   rec.Totals(),
 		OOOStats:              stats,
 		TimingL1PrimaryMisses: sys.L1.MSHRs().PrimaryMisses(),
-	}
-	switch {
-	case sys.L2 != nil:
-		rep.TimingL2Misses = sys.L2.Misses()
-	case sys.DRAM != nil:
-		rep.TimingL2Misses = sys.DRAM.Misses()
-	}
-	return rep, nil
+		TimingL2Misses:        sys.Lower.Misses(),
+	}, nil
 }
 
 // Compare demands exact agreement between the golden model and the

@@ -106,12 +106,6 @@ func (o Options) config(bench string, memory mem.SystemConfig) sim.Config {
 	}
 }
 
-// run executes one simulation through the runner (memoized and cached,
-// but synchronous — batch gets the parallelism).
-func (o Options) run(bench string, memory mem.SystemConfig) (sim.Result, error) {
-	return o.runner().RunOne(o.ctx(), o.config(bench, memory))
-}
-
 // batch accumulates an experiment's simulation points together with the
 // table cells they feed, then executes them through the runner as one
 // parallel wave. Apply callbacks fire in submission order, so table

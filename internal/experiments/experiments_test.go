@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"hbcache/internal/mem"
+	"hbcache/internal/sim"
 )
 
 // quick returns low-fidelity options that keep test runtime sane while
@@ -316,10 +317,17 @@ func TestOptionsDefaults(t *testing.T) {
 	}
 }
 
+// TestRunHelperRejectsBadConfig: the batch helper every experiment runs
+// through surfaces an invalid memory config as an error before any
+// result is applied.
 func TestRunHelperRejectsBadConfig(t *testing.T) {
-	o := quick("gcc")
-	bad := mem.SystemConfig{}
-	if _, err := o.run("gcc", bad); err == nil {
+	b := quick("gcc").batch()
+	applied := false
+	b.add("gcc", mem.SystemConfig{}, func(sim.Result) { applied = true })
+	if err := b.run(); err == nil {
 		t.Error("invalid memory config must fail")
+	}
+	if applied {
+		t.Error("a failed point's result was applied")
 	}
 }

@@ -24,6 +24,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
+	"strings"
 )
 
 // Physical and methodological constants from the paper.
@@ -242,4 +244,24 @@ func SizeLabel(bytes int) string {
 	default:
 		return fmt.Sprintf("%dB", bytes)
 	}
+}
+
+// ParseSize reads a cache capacity in SizeLabel's K and M notation: a
+// decimal byte count with an optional K or M suffix in either case, as
+// in "32K" or "1m". Surrounding spaces are ignored. The magnitude is
+// not checked: "0" and "-8K" parse, and config validation refuses them.
+func ParseSize(s string) (int, error) {
+	t := strings.ToUpper(strings.TrimSpace(s))
+	mult := 1
+	switch {
+	case strings.HasSuffix(t, "M"):
+		mult, t = 1<<20, strings.TrimSuffix(t, "M")
+	case strings.HasSuffix(t, "K"):
+		mult, t = 1<<10, strings.TrimSuffix(t, "K")
+	}
+	n, err := strconv.Atoi(t)
+	if err != nil {
+		return 0, fmt.Errorf("bad size %q", s)
+	}
+	return n * mult, nil
 }

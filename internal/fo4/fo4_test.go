@@ -217,3 +217,48 @@ func TestHitCyclesSufficientProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestParseSize pins the capacity notation the CLIs read. ParseSize is
+// permissive about magnitude: "0" and "-8K" are well-formed numbers, and
+// sim.Config.Validate is what refuses such sizes (TestValidate's
+// zero-size and negative L1 cases). A bare suffix, embedded space or
+// non-decimal number is malformed, not zero.
+func TestParseSize(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want int
+		ok   bool
+	}{
+		{"32K", 32 << 10, true},
+		{"4k", 4 << 10, true},
+		{"1M", 1 << 20, true},
+		{"1m", 1 << 20, true},
+		{"512K", 512 << 10, true},
+		{"100", 100, true},
+		{" 8K ", 8 << 10, true},
+		{"0", 0, true},
+		{"-8K", -8 << 10, true},
+		{"-1", -1, true},
+		{"", 0, false},
+		{"K", 0, false},
+		{"M", 0, false},
+		{"x32", 0, false},
+		{"3.5K", 0, false},
+		{"8 K", 0, false},
+		{"1e3", 0, false},
+	} {
+		got, err := ParseSize(tc.in)
+		if (err == nil) != tc.ok {
+			t.Errorf("ParseSize(%q) err = %v, want ok=%v", tc.in, err, tc.ok)
+			continue
+		}
+		if got != tc.want {
+			t.Errorf("ParseSize(%q) = %d, want %d", tc.in, got, tc.want)
+		}
+		if tc.ok && tc.want > 0 && tc.want%1024 == 0 {
+			if back, err := ParseSize(SizeLabel(tc.want)); err != nil || back != tc.want {
+				t.Errorf("ParseSize(SizeLabel(%d)) = %d, %v", tc.want, back, err)
+			}
+		}
+	}
+}

@@ -103,9 +103,10 @@ func CustomDRAMSystemLines(rowBufBytes, lineBytes, rowBufHitCycles, dramHitCycle
 // System is an assembled hierarchy. The CPU interacts with L1 (loads,
 // stores, drain); the rest is reachable for statistics.
 type System struct {
-	L1     *L1Cache
-	L2     *L2Cache // nil in the DRAM organization
-	DRAM   *DRAMCache
+	L1 *L1Cache
+	// Lower is the off-chip L2 in the SRAM organization, the on-chip
+	// DRAM cache in the DRAM organization.
+	Lower  *LowerCache
 	Memory *Memory
 	// ChipBus is the processor-to-L2 bus in the SRAM organization, nil
 	// otherwise.
@@ -131,29 +132,21 @@ func NewSystem(cfg SystemConfig) (*System, error) {
 		return nil, err
 	}
 	sys := &System{Memory: memory, MemBus: memBus}
-	var below Level
-	if cfg.L2 != nil {
-		chipBus, err := NewBus(cfg.ChipBusGBs, cfg.CycleNs)
-		if err != nil {
+	if l2 := cfg.L2; l2 != nil {
+		if sys.ChipBus, err = NewBus(cfg.ChipBusGBs, cfg.CycleNs); err != nil {
 			return nil, err
 		}
-		l2, err := NewL2Cache(*cfg.L2, chipBus, memory)
-		if err != nil {
-			return nil, err
-		}
-		sys.L2, sys.ChipBus, below = l2, chipBus, l2
+		sys.Lower, err = NewLowerCache(l2.Bytes, l2.LineBytes, l2.Assoc, l2.HitCycles, sys.ChipBus, memory)
 	} else {
-		dram, err := NewDRAMCache(*cfg.DRAM, memory)
-		if err != nil {
-			return nil, err
-		}
-		sys.DRAM, below = dram, dram
+		d := cfg.DRAM
+		sys.Lower, err = NewLowerCache(d.Bytes, d.RowBytes, d.Assoc, d.HitCycles, nil, memory)
 	}
-	l1, err := NewL1Cache(cfg.L1, below)
 	if err != nil {
 		return nil, err
 	}
-	sys.L1 = l1
+	if sys.L1, err = NewL1Cache(cfg.L1, sys.Lower); err != nil {
+		return nil, err
+	}
 	return sys, nil
 }
 
@@ -170,13 +163,7 @@ func (s *System) CheckInvariants() error {
 // would. Used to pre-warm the hierarchy to steady state before a
 // measured run.
 func (s *System) WarmTouch(addr uint64) {
-	if s.L1.WarmTouch(addr) {
-		return
-	}
-	if s.L2 != nil {
-		s.L2.WarmTouch(addr)
-	}
-	if s.DRAM != nil {
-		s.DRAM.WarmTouch(addr)
+	if !s.L1.WarmTouch(addr) {
+		s.Lower.WarmTouch(addr)
 	}
 }

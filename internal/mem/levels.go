@@ -59,15 +59,27 @@ func (m *Memory) Writebacks() uint64 { return m.writebacks.Value() }
 // Latency returns the fixed access latency in cycles.
 func (m *Memory) Latency() int { return int(m.latency) }
 
-// L2Cache models the unified off-chip secondary cache: 4 Mbytes,
-// two-way-set-associative, 64 byte lines, ten cycle (50 ns) hits in the
-// baseline configuration. The requested primary-cache line rides back to
-// the chip over the 2.5 GByte/s processor-to-L2 bus; L2 misses fetch a
-// 64-byte L2 line from memory first.
-type L2Cache struct {
+// LowerCache is the cache level between the primary cache and main
+// memory, in either of the paper's organizations:
+//
+//   - the unified off-chip secondary cache (L2Config): 4 Mbytes,
+//     two-way-set-associative, 64 byte lines, ten cycle (50 ns) hits in
+//     the baseline configuration. The requested primary-cache line
+//     rides back to the chip over the 2.5 GByte/s processor-to-L2 bus,
+//     as do the primary cache's write-backs.
+//   - the 4 Mbyte on-chip DRAM cache of section 2.4 (DRAMConfig),
+//     backing a 16 Kbyte row-buffer primary cache, with six to eight
+//     cycle hits in the paper's sensitivity sweep. Its rows are the
+//     row-buffer cache's own lines, so transfers up and write-backs
+//     stay on chip and cost no bus time.
+//
+// The bus is the only difference: set for the L2, nil for the DRAM
+// cache. Misses fetch one line (64 bytes, or a full 512-byte row) from
+// the next level and fill it.
+type LowerCache struct {
 	array *Array
 	hit   Cycle
-	up    *Bus // processor chip <-> L2
+	bus   *Bus // processor chip <-> L2; nil for the on-chip DRAM cache
 	next  Level
 	// dirtySpill preserves the dirty flag of lines displaced by warm
 	// (untimed) touches, which write back nothing; resident lines keep
@@ -79,7 +91,7 @@ type L2Cache struct {
 	writebacks Counter
 }
 
-// L2Config sizes the secondary cache.
+// L2Config sizes the off-chip secondary cache.
 type L2Config struct {
 	Bytes     int `json:"bytes"`      // capacity (paper: 4 MB)
 	LineBytes int `json:"line_bytes"` // line size (paper: 64 B)
@@ -91,119 +103,6 @@ type L2Config struct {
 // latency in cycles.
 func DefaultL2Config(hitCycles int) L2Config {
 	return L2Config{Bytes: 4 << 20, LineBytes: 64, Assoc: 2, HitCycles: hitCycles}
-}
-
-// NewL2Cache builds the secondary cache in front of next (main memory).
-func NewL2Cache(cfg L2Config, up *Bus, next Level) (*L2Cache, error) {
-	if cfg.HitCycles <= 0 {
-		return nil, errNonPositive("L2 hit latency", cfg.HitCycles)
-	}
-	if up == nil || next == nil {
-		return nil, errNonPositive("L2 bus/next level", 0)
-	}
-	a, err := NewArray(cfg.Bytes, cfg.LineBytes, cfg.Assoc)
-	if err != nil {
-		return nil, err
-	}
-	return &L2Cache{array: a, hit: Cycle(cfg.HitCycles), up: up, next: next}, nil
-}
-
-// Access implements Level.
-func (l *L2Cache) Access(now Cycle, addr uint64, lineBytes int) Cycle {
-	l.accesses.Inc()
-	if l.array.Lookup(addr) {
-		return l.up.Reserve(now+l.hit, lineBytes)
-	}
-	l.misses.Inc()
-	// The L2 lookup takes its hit time to discover the miss, then the
-	// 64-byte L2 line is fetched from memory and filled.
-	ready := l.next.Access(now+l.hit, addr, l.array.LineBytes())
-	l.fill(now, addr)
-	return l.up.Reserve(ready, lineBytes)
-}
-
-// fill inserts addr's line, writing back a displaced dirty line.
-func (l *L2Cache) fill(now Cycle, addr uint64) {
-	dirty := false
-	if len(l.dirtySpill) != 0 {
-		line := lineIndex(addr, l.array.LineBytes())
-		if _, ok := l.dirtySpill[line]; ok {
-			delete(l.dirtySpill, line)
-			dirty = true
-		}
-	}
-	evicted, _, evDirty, did := l.array.FillState(addr, 0, dirty)
-	if !did {
-		return
-	}
-	if evDirty {
-		l.writebacks.Inc()
-		l.next.WriteBack(now+l.hit, evicted, l.array.LineBytes())
-	}
-}
-
-// WriteBack implements Level: the primary cache's dirty line crosses
-// the chip bus and updates (write-allocating if needed) this cache,
-// whose own displaced dirty lines continue to memory.
-func (l *L2Cache) WriteBack(now Cycle, addr uint64, bytes int) {
-	l.up.Reserve(now, bytes)
-	if !l.array.Lookup(addr) {
-		l.fill(now, addr)
-	}
-	l.array.MarkDirty(addr)
-}
-
-// WarmTouch brings addr's line into the tag array without charging time
-// or statistics, reporting whether it was already present. A warm
-// eviction writes back nothing, but a displaced dirty line's flag parks
-// in the spill map so a later refill stays write-back correct.
-func (l *L2Cache) WarmTouch(addr uint64) bool {
-	if l.array.Lookup(addr) {
-		return true
-	}
-	dirty := false
-	if len(l.dirtySpill) != 0 {
-		line := lineIndex(addr, l.array.LineBytes())
-		if _, ok := l.dirtySpill[line]; ok {
-			delete(l.dirtySpill, line)
-			dirty = true
-		}
-	}
-	evicted, _, evDirty, did := l.array.FillState(addr, 0, dirty)
-	if did && evDirty {
-		if l.dirtySpill == nil {
-			l.dirtySpill = make(map[uint64]struct{}, 8)
-		}
-		l.dirtySpill[lineIndex(evicted, l.array.LineBytes())] = struct{}{}
-	}
-	return false
-}
-
-// Accesses returns the number of L2 requests.
-func (l *L2Cache) Accesses() uint64 { return l.accesses.Value() }
-
-// Misses returns the number of L2 misses.
-func (l *L2Cache) Misses() uint64 { return l.misses.Value() }
-
-// Writebacks returns the number of dirty L2 lines written to memory.
-func (l *L2Cache) Writebacks() uint64 { return l.writebacks.Value() }
-
-// DRAMCache models the 4 Mbyte on-chip DRAM cache of section 2.4. It
-// backs a 16 Kbyte row-buffer primary cache; its hit time is six to
-// eight processor cycles in the paper's sensitivity sweep. There is no
-// off-chip secondary cache in this organization: DRAM misses go straight
-// to main memory and fetch a full 512-byte row.
-type DRAMCache struct {
-	array *Array
-	hit   Cycle
-	next  Level
-	// dirtySpill preserves the dirty flag of rows displaced by warm
-	// touches, as in L2Cache; resident rows keep it in the array slots.
-	dirtySpill map[uint64]struct{}
-
-	accesses   Counter
-	misses     Counter
-	writebacks Counter
 }
 
 // DRAMConfig sizes the on-chip DRAM cache.
@@ -219,98 +118,113 @@ func DefaultDRAMConfig(hitCycles int) DRAMConfig {
 	return DRAMConfig{Bytes: 4 << 20, RowBytes: 512, Assoc: 2, HitCycles: hitCycles}
 }
 
-// NewDRAMCache builds the on-chip DRAM cache in front of main memory.
-func NewDRAMCache(cfg DRAMConfig, next Level) (*DRAMCache, error) {
-	if cfg.HitCycles <= 0 {
-		return nil, errNonPositive("DRAM hit latency", cfg.HitCycles)
+// NewLowerCache builds a lower-level cache of the given geometry and
+// hit time in front of next (main memory): the off-chip L2 when bus is
+// its processor-chip bus, the on-chip DRAM cache when bus is nil.
+func NewLowerCache(bytes, lineBytes, assoc, hitCycles int, bus *Bus, next Level) (*LowerCache, error) {
+	c := &LowerCache{hit: Cycle(hitCycles), bus: bus, next: next}
+	if hitCycles <= 0 {
+		return nil, errNonPositive(c.name()+" hit latency", hitCycles)
 	}
 	if next == nil {
-		return nil, errNonPositive("DRAM next level", 0)
+		return nil, errNonPositive(c.name()+" next level", 0)
 	}
-	a, err := NewArray(cfg.Bytes, cfg.RowBytes, cfg.Assoc)
+	a, err := NewArray(bytes, lineBytes, assoc)
 	if err != nil {
 		return nil, err
 	}
-	return &DRAMCache{array: a, hit: Cycle(cfg.HitCycles), next: next}, nil
+	c.array = a
+	return c, nil
 }
 
-// Access implements Level. The row-buffer primary cache's 512-byte lines
-// are the DRAM's own rows, so the transfer up is internal to the chip
-// and included in the hit time.
-func (d *DRAMCache) Access(now Cycle, addr uint64, lineBytes int) Cycle {
-	d.accesses.Inc()
-	if d.array.Lookup(addr) {
-		return now + d.hit
+// name is the level's name in errors: L2 or DRAM.
+func (c *LowerCache) name() string {
+	if c.bus != nil {
+		return "L2"
 	}
-	d.misses.Inc()
-	ready := d.next.Access(now+d.hit, addr, d.array.LineBytes())
-	d.fill(now, addr)
+	return "DRAM"
+}
+
+// Access implements Level. The lookup takes the hit time; on a miss
+// the line is then fetched from the next level and filled. The
+// requested block crosses the chip bus, when there is one, after that.
+func (c *LowerCache) Access(now Cycle, addr uint64, lineBytes int) Cycle {
+	c.accesses.Inc()
+	ready := now + c.hit
+	if !c.array.Lookup(addr) {
+		c.misses.Inc()
+		ready = c.next.Access(ready, addr, c.array.LineBytes())
+		c.fill(now, addr)
+	}
+	if c.bus != nil {
+		return c.bus.Reserve(ready, lineBytes)
+	}
 	return ready
 }
 
-// fill inserts addr's row, writing a displaced dirty row to memory.
-func (d *DRAMCache) fill(now Cycle, addr uint64) {
-	dirty := false
-	if len(d.dirtySpill) != 0 {
-		row := lineIndex(addr, d.array.LineBytes())
-		if _, ok := d.dirtySpill[row]; ok {
-			delete(d.dirtySpill, row)
-			dirty = true
-		}
+// takeSpill reports whether addr's line had its dirty flag parked in
+// the spill map, removing it.
+func (c *LowerCache) takeSpill(addr uint64) bool {
+	if len(c.dirtySpill) == 0 {
+		return false
 	}
-	evicted, _, evDirty, did := d.array.FillState(addr, 0, dirty)
-	if !did {
-		return
+	line := lineIndex(addr, c.array.LineBytes())
+	if _, ok := c.dirtySpill[line]; !ok {
+		return false
 	}
-	if evDirty {
-		d.writebacks.Inc()
-		d.next.WriteBack(now+d.hit, evicted, d.array.LineBytes())
+	delete(c.dirtySpill, line)
+	return true
+}
+
+// fill inserts addr's line, writing a displaced dirty line to the next
+// level.
+func (c *LowerCache) fill(now Cycle, addr uint64) {
+	evicted, _, evDirty, did := c.array.FillState(addr, 0, c.takeSpill(addr))
+	if did && evDirty {
+		c.writebacks.Inc()
+		c.next.WriteBack(now+c.hit, evicted, c.array.LineBytes())
 	}
 }
 
-// WriteBack implements Level: the row-buffer cache's dirty line lands
-// in the DRAM row on chip (no bus cost); displaced dirty rows continue
-// to memory.
-func (d *DRAMCache) WriteBack(now Cycle, addr uint64, bytes int) {
-	if !d.array.Lookup(addr) {
-		d.fill(now, addr)
+// WriteBack implements Level: the primary cache's dirty line crosses
+// the chip bus, if any, and updates (write-allocating if needed) this
+// cache, whose own displaced dirty lines continue to memory.
+func (c *LowerCache) WriteBack(now Cycle, addr uint64, bytes int) {
+	if c.bus != nil {
+		c.bus.Reserve(now, bytes)
 	}
-	d.array.MarkDirty(addr)
+	if !c.array.Lookup(addr) {
+		c.fill(now, addr)
+	}
+	c.array.MarkDirty(addr)
 }
 
-// WarmTouch brings addr's row into the tag array without charging time
-// or statistics, reporting whether it was already present. As in
-// L2Cache, a displaced dirty row's flag parks in the spill map.
-func (d *DRAMCache) WarmTouch(addr uint64) bool {
-	if d.array.Lookup(addr) {
+// WarmTouch brings addr's line into the tag array without charging time
+// or statistics, reporting whether it was already present. A warm
+// eviction writes back nothing, but a displaced dirty line's flag parks
+// in the spill map so a later refill stays write-back correct.
+func (c *LowerCache) WarmTouch(addr uint64) bool {
+	if c.array.Lookup(addr) {
 		return true
 	}
-	dirty := false
-	if len(d.dirtySpill) != 0 {
-		row := lineIndex(addr, d.array.LineBytes())
-		if _, ok := d.dirtySpill[row]; ok {
-			delete(d.dirtySpill, row)
-			dirty = true
-		}
-	}
-	evicted, _, evDirty, did := d.array.FillState(addr, 0, dirty)
+	evicted, _, evDirty, did := c.array.FillState(addr, 0, c.takeSpill(addr))
 	if did && evDirty {
-		if d.dirtySpill == nil {
-			d.dirtySpill = make(map[uint64]struct{}, 8)
+		if c.dirtySpill == nil {
+			c.dirtySpill = make(map[uint64]struct{}, 8)
 		}
-		d.dirtySpill[lineIndex(evicted, d.array.LineBytes())] = struct{}{}
+		c.dirtySpill[lineIndex(evicted, c.array.LineBytes())] = struct{}{}
 	}
 	return false
 }
 
-// Accesses returns the number of DRAM cache requests.
-func (d *DRAMCache) Accesses() uint64 { return d.accesses.Value() }
+// Accesses returns the number of requests.
+func (c *LowerCache) Accesses() uint64 { return c.accesses.Value() }
 
-// Misses returns the number of DRAM cache misses.
-func (d *DRAMCache) Misses() uint64 { return d.misses.Value() }
+// Misses returns the number of misses.
+func (c *LowerCache) Misses() uint64 { return c.misses.Value() }
 
-// Writebacks returns the number of dirty rows written to memory.
-func (d *DRAMCache) Writebacks() uint64 { return d.writebacks.Value() }
+// Writebacks returns the number of dirty lines written to memory.
+func (c *LowerCache) Writebacks() uint64 { return c.writebacks.Value() }
 
 // FixedLatency is a Level with a constant response time and no state; it
 // exists for unit tests and for idealized experiments (e.g. a perfect

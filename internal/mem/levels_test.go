@@ -1,6 +1,9 @@
 package mem
 
-import "testing"
+import (
+	"strings"
+	"testing"
+)
 
 func TestMemoryTiming(t *testing.T) {
 	bus, _ := NewBus(1.6, 5) // 8 B/cycle
@@ -23,11 +26,22 @@ func TestMemoryTiming(t *testing.T) {
 	}
 }
 
+// newL2 and newDRAM build a lower-level cache the way NewSystem does
+// for each organization: the L2 behind its chip bus, the DRAM cache
+// with none.
+func newL2(cfg L2Config, up *Bus, next Level) (*LowerCache, error) {
+	return NewLowerCache(cfg.Bytes, cfg.LineBytes, cfg.Assoc, cfg.HitCycles, up, next)
+}
+
+func newDRAM(cfg DRAMConfig, next Level) (*LowerCache, error) {
+	return NewLowerCache(cfg.Bytes, cfg.RowBytes, cfg.Assoc, cfg.HitCycles, nil, next)
+}
+
 func TestL2HitAndMissTiming(t *testing.T) {
 	up, _ := NewBus(2.5, 5)     // 12.5 B/cycle: 32B in 3 cycles
 	memBus, _ := NewBus(1.6, 5) // 8 B/cycle: 64B in 8 cycles
 	memory, _ := NewMemory(60, memBus)
-	l2, err := NewL2Cache(DefaultL2Config(10), up, memory)
+	l2, err := newL2(DefaultL2Config(10), up, memory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +68,7 @@ func TestL2SameLineDifferentL1Lines(t *testing.T) {
 	up, _ := NewBus(2.5, 5)
 	memBus, _ := NewBus(1.6, 5)
 	memory, _ := NewMemory(60, memBus)
-	l2, _ := NewL2Cache(DefaultL2Config(10), up, memory)
+	l2, _ := newL2(DefaultL2Config(10), up, memory)
 	l2.Access(0, 0x4000, 32)
 	l2.Access(500, 0x4020, 32)
 	if l2.Misses() != 1 {
@@ -66,26 +80,26 @@ func TestL2Validation(t *testing.T) {
 	up, _ := NewBus(2.5, 5)
 	memBus, _ := NewBus(1.6, 5)
 	memory, _ := NewMemory(60, memBus)
-	if _, err := NewL2Cache(DefaultL2Config(0), up, memory); err == nil {
-		t.Error("zero hit latency must fail")
+	if _, err := newL2(DefaultL2Config(0), up, memory); err == nil || !strings.Contains(err.Error(), "L2 hit latency") {
+		t.Errorf("zero hit latency: err = %v, want an L2 hit latency error", err)
 	}
-	if _, err := NewL2Cache(DefaultL2Config(10), nil, memory); err == nil {
-		t.Error("nil bus must fail")
+	if _, err := newL2(DefaultL2Config(0), nil, memory); err == nil || !strings.Contains(err.Error(), "DRAM hit latency") {
+		t.Errorf("zero hit latency without a chip bus: err = %v, want a DRAM hit latency error", err)
 	}
-	if _, err := NewL2Cache(DefaultL2Config(10), up, nil); err == nil {
+	if _, err := newL2(DefaultL2Config(10), up, nil); err == nil {
 		t.Error("nil next must fail")
 	}
 	bad := DefaultL2Config(10)
 	bad.LineBytes = 60
-	if _, err := NewL2Cache(bad, up, memory); err == nil {
+	if _, err := newL2(bad, up, memory); err == nil {
 		t.Error("bad geometry must fail")
 	}
 }
 
-func TestDRAMCacheTiming(t *testing.T) {
+func TestDRAMHitAndMissTiming(t *testing.T) {
 	memBus, _ := NewBus(1.6, 5)
 	memory, _ := NewMemory(60, memBus)
-	d, err := NewDRAMCache(DefaultDRAMConfig(6), memory)
+	d, err := newDRAM(DefaultDRAMConfig(6), memory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,10 +114,10 @@ func TestDRAMCacheTiming(t *testing.T) {
 	if d.Accesses() != 2 || d.Misses() != 1 {
 		t.Errorf("accesses/misses = %d/%d, want 2/1", d.Accesses(), d.Misses())
 	}
-	if _, err := NewDRAMCache(DefaultDRAMConfig(0), memory); err == nil {
+	if _, err := newDRAM(DefaultDRAMConfig(0), memory); err == nil {
 		t.Error("zero hit latency must fail")
 	}
-	if _, err := NewDRAMCache(DefaultDRAMConfig(6), nil); err == nil {
+	if _, err := newDRAM(DefaultDRAMConfig(6), nil); err == nil {
 		t.Error("nil next must fail")
 	}
 }
@@ -114,7 +128,7 @@ func TestDRAMHitTimeSweep(t *testing.T) {
 	memBus, _ := NewBus(1.6, 5)
 	memory, _ := NewMemory(60, memBus)
 	for _, hit := range []int{6, 7, 8} {
-		d, _ := NewDRAMCache(DefaultDRAMConfig(hit), memory)
+		d, _ := newDRAM(DefaultDRAMConfig(hit), memory)
 		d.Access(0, 0, 512)
 		if done := d.Access(1000, 0, 512); done != Cycle(1000+hit) {
 			t.Errorf("hit=%d: done at %d, want %d", hit, done, 1000+hit)
@@ -138,11 +152,11 @@ func TestNewSystemSRAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.L1 == nil || sys.L2 == nil || sys.Memory == nil || sys.ChipBus == nil || sys.MemBus == nil {
+	if sys.L1 == nil || sys.Lower == nil || sys.Memory == nil || sys.ChipBus == nil || sys.MemBus == nil {
 		t.Fatal("SRAM system missing components")
 	}
-	if sys.DRAM != nil {
-		t.Error("SRAM system must not have a DRAM cache")
+	if sys.Lower.bus != sys.ChipBus {
+		t.Error("SRAM system's L2 must sit behind the chip bus")
 	}
 	if sys.L1.LineBuffer() == nil {
 		t.Error("line buffer requested but absent")
@@ -173,7 +187,7 @@ func TestNewSystemSRAMColdMissThroughMemory(t *testing.T) {
 	if r.Done != 82 {
 		t.Errorf("cold full-path load done at %d, want 82", r.Done)
 	}
-	if sys.Memory.Accesses() != 1 || sys.L2.Misses() != 1 {
+	if sys.Memory.Accesses() != 1 || sys.Lower.Misses() != 1 {
 		t.Error("cold miss must reach memory exactly once")
 	}
 }
@@ -183,7 +197,7 @@ func TestNewSystemDRAM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sys.DRAM == nil || sys.L2 != nil || sys.ChipBus != nil {
+	if sys.Lower == nil || sys.Lower.bus != nil || sys.ChipBus != nil {
 		t.Fatal("DRAM system wiring wrong")
 	}
 	if sys.L1.Config().LineBytes != 512 || sys.L1.Config().Bytes != 16<<10 {

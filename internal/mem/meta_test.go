@@ -18,7 +18,7 @@ func TestArrayMetaOnlyWhereUsed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, a := range map[string]*Array{"L1": sys.L1.array, "victim": sys.L1.victim, "L2": sys.L2.array} {
+	for name, a := range map[string]*Array{"L1": sys.L1.array, "victim": sys.L1.victim, "L2": sys.Lower.array} {
 		if a.meta != nil {
 			t.Errorf("unsectored %s array allocated %d meta words", name, len(a.meta))
 		}
@@ -64,7 +64,7 @@ func TestExportStateShapeStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	driveSystem(sys)
-	if sys.L1.DirtyLines() == 0 || sys.L1.victim.Occupancy() == 0 || sys.L2.array.CountDirty() == 0 {
+	if sys.L1.DirtyLines() == 0 || sys.L1.victim.Occupancy() == 0 || sys.Lower.array.CountDirty() == 0 {
 		t.Fatal("the drive left no dirty lines or victim traffic to export")
 	}
 	st := sys.ExportState()
@@ -77,8 +77,8 @@ func TestExportStateShapeStable(t *testing.T) {
 	if got := hex.EncodeToString(sum[:]); got != want {
 		t.Errorf("exported state digest %s, want %s", got, want)
 	}
-	if n := len(st.L2.Array.Meta); n != len(sys.L2.array.tags) {
-		t.Errorf("L2 exported %d meta words for %d slots", n, len(sys.L2.array.tags))
+	if n := len(st.L2.Array.Meta); n != len(sys.Lower.array.tags) {
+		t.Errorf("L2 exported %d meta words for %d slots", n, len(sys.Lower.array.tags))
 	}
 
 	back, err := NewSystem(cfg)

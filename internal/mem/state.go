@@ -130,7 +130,8 @@ type L1State struct {
 	Writebacks    uint64 `json:"writebacks"`
 }
 
-// LevelState is the mutable state of an L2 or DRAM cache level.
+// LevelState is the mutable state of the lower cache level, the L2 or
+// the DRAM cache.
 type LevelState struct {
 	Array      ArrayState `json:"array"`
 	DirtySpill []uint64   `json:"dirty_spill,omitempty"`
@@ -403,34 +404,41 @@ func (b *Bus) importState(st BusState) {
 	b.waitCycle = Counter(st.WaitCycles)
 }
 
-// ExportState captures the hierarchy's mutable state.
+func (c *LowerCache) exportState() *LevelState {
+	return &LevelState{
+		Array:      c.array.exportState(),
+		DirtySpill: sortedLines(c.dirtySpill),
+		Accesses:   c.accesses.Value(),
+		Misses:     c.misses.Value(),
+		Writebacks: c.writebacks.Value(),
+	}
+}
+
+func (c *LowerCache) importState(st *LevelState) error {
+	if err := c.array.importState(c.name(), st.Array); err != nil {
+		return err
+	}
+	importLines(&c.dirtySpill, st.DirtySpill)
+	c.accesses = Counter(st.Accesses)
+	c.misses = Counter(st.Misses)
+	c.writebacks = Counter(st.Writebacks)
+	return nil
+}
+
+// ExportState captures the hierarchy's mutable state. The lower level
+// is filed under "l2" beside the chip bus in the SRAM organization and
+// under "dram" in the DRAM organization.
 func (s *System) ExportState() SystemState {
 	st := SystemState{
 		L1:     s.L1.exportState(),
 		Memory: MemoryState{Accesses: s.Memory.accesses.Value(), Writebacks: s.Memory.writebacks.Value()},
 		MemBus: s.MemBus.exportState(),
 	}
-	if s.L2 != nil {
-		st.L2 = &LevelState{
-			Array:      s.L2.array.exportState(),
-			DirtySpill: sortedLines(s.L2.dirtySpill),
-			Accesses:   s.L2.accesses.Value(),
-			Misses:     s.L2.misses.Value(),
-			Writebacks: s.L2.writebacks.Value(),
-		}
-	}
-	if s.DRAM != nil {
-		st.DRAM = &LevelState{
-			Array:      s.DRAM.array.exportState(),
-			DirtySpill: sortedLines(s.DRAM.dirtySpill),
-			Accesses:   s.DRAM.accesses.Value(),
-			Misses:     s.DRAM.misses.Value(),
-			Writebacks: s.DRAM.writebacks.Value(),
-		}
-	}
 	if s.ChipBus != nil {
 		cb := s.ChipBus.exportState()
-		st.ChipBus = &cb
+		st.L2, st.ChipBus = s.Lower.exportState(), &cb
+	} else {
+		st.DRAM = s.Lower.exportState()
 	}
 	return st
 }
@@ -441,41 +449,27 @@ func (s *System) ExportState() SystemState {
 // configuration is rejected (possibly after partially restoring sibling
 // structures — callers discard the target on error).
 func (s *System) ImportState(st SystemState) error {
-	if (st.L2 != nil) != (s.L2 != nil) {
-		return fmt.Errorf("mem: snapshot L2 presence %v, system has %v", st.L2 != nil, s.L2 != nil)
+	sram := s.ChipBus != nil
+	if (st.L2 != nil) != sram || (st.DRAM != nil) == sram {
+		return fmt.Errorf("mem: snapshot L2/DRAM presence %v/%v, system has %v/%v",
+			st.L2 != nil, st.DRAM != nil, sram, !sram)
 	}
-	if (st.DRAM != nil) != (s.DRAM != nil) {
-		return fmt.Errorf("mem: snapshot DRAM presence %v, system has %v", st.DRAM != nil, s.DRAM != nil)
-	}
-	if (st.ChipBus != nil) != (s.ChipBus != nil) {
-		return fmt.Errorf("mem: snapshot chip bus presence %v, system has %v", st.ChipBus != nil, s.ChipBus != nil)
+	if (st.ChipBus != nil) != sram {
+		return fmt.Errorf("mem: snapshot chip bus presence %v, system has %v", st.ChipBus != nil, sram)
 	}
 	if err := s.L1.importState(st.L1); err != nil {
 		return err
 	}
-	if s.L2 != nil {
-		if err := s.L2.array.importState("L2", st.L2.Array); err != nil {
-			return err
-		}
-		importLines(&s.L2.dirtySpill, st.L2.DirtySpill)
-		s.L2.accesses = Counter(st.L2.Accesses)
-		s.L2.misses = Counter(st.L2.Misses)
-		s.L2.writebacks = Counter(st.L2.Writebacks)
+	lower := st.DRAM
+	if sram {
+		lower = st.L2
+		s.ChipBus.importState(*st.ChipBus)
 	}
-	if s.DRAM != nil {
-		if err := s.DRAM.array.importState("DRAM", st.DRAM.Array); err != nil {
-			return err
-		}
-		importLines(&s.DRAM.dirtySpill, st.DRAM.DirtySpill)
-		s.DRAM.accesses = Counter(st.DRAM.Accesses)
-		s.DRAM.misses = Counter(st.DRAM.Misses)
-		s.DRAM.writebacks = Counter(st.DRAM.Writebacks)
+	if err := s.Lower.importState(lower); err != nil {
+		return err
 	}
 	s.Memory.accesses = Counter(st.Memory.Accesses)
 	s.Memory.writebacks = Counter(st.Memory.Writebacks)
-	if s.ChipBus != nil {
-		s.ChipBus.importState(*st.ChipBus)
-	}
 	s.MemBus.importState(st.MemBus)
 	return nil
 }

@@ -8,18 +8,19 @@ import (
 // This file shares the functional prewarm between hierarchies whose
 // warm-phase state provably cannot differ: the batch kernel's
 // follower lanes and internal/sim's PrewarmCache both capture one
-// hierarchy's warm state and apply it to the others.
+// hierarchy's warm state (the L1's and the lower level's tag arrays
+// and spill maps) and apply it to the others.
 
 // WarmStateKey returns a grouping key over the configuration fields
 // that can influence the state produced by WarmTouch. Warm touches
 // mutate only the tag arrays and the spill maps (never ports, MSHRs,
-// line or victim buffers, buses, or counters — see the WarmTouch
-// implementations), so two systems whose keys match and that receive
-// the same address stream end prewarm in bit-identical warm state.
-// Sweep points that differ only in ports, latencies, line buffers, or
-// bus bandwidths therefore share one functional prewarm: one system
-// replays the stream, CaptureWarm copies its state out, and ApplyWarm
-// copies it into the rest.
+// line or victim buffers, buses, or counters — see L1Cache.WarmTouch
+// and LowerCache.WarmTouch), so two systems whose keys match and that
+// receive the same address stream end prewarm in bit-identical warm
+// state. Sweep points that differ only in ports, latencies, line
+// buffers, or bus bandwidths therefore share one functional prewarm:
+// one system replays the stream, CaptureWarm copies its state out, and
+// ApplyWarm copies it into the rest.
 func WarmStateKey(cfg SystemConfig) string {
 	key := fmt.Sprintf("l1:%d/%d/%d/s%d", cfg.L1.Bytes, cfg.L1.LineBytes, cfg.L1.Assoc, cfg.L1.SectorBytes)
 	if cfg.L2 != nil {
@@ -32,15 +33,14 @@ func WarmStateKey(cfg SystemConfig) string {
 }
 
 // WarmState is a captured copy of exactly the state WarmTouch mutates:
-// every level's tag array, the L1 spill map, and the L2 and DRAM
-// dirty-spill maps. The zero value is empty. CaptureWarm overwrites it
-// in place, reusing its buffers, so one WarmState holds successive
-// captures without reallocating.
+// the L1 and lower-level tag arrays, the L1 spill map, and the lower
+// level's dirty-spill map. The zero value is empty. CaptureWarm
+// overwrites it in place, reusing its buffers, so one WarmState holds
+// successive captures without reallocating.
 type WarmState struct {
-	l1, l2, dram       warmArray
-	hasL2, hasDRAM     bool
-	spill              map[uint64]spillState
-	l2Spill, dramSpill map[uint64]struct{}
+	l1, lower  warmArray
+	spill      map[uint64]spillState
+	lowerSpill map[uint64]struct{}
 }
 
 // warmArray is one tag array's warm-mutable content and geometry.
@@ -104,49 +104,26 @@ func cloneMap[V any](m map[uint64]V) map[uint64]V {
 func (s *System) CaptureWarm(w *WarmState) {
 	w.l1.capture(s.L1.array)
 	captureMap(&w.spill, s.L1.spill)
-	w.hasL2, w.hasDRAM = s.L2 != nil, s.DRAM != nil
-	if s.L2 != nil {
-		w.l2.capture(s.L2.array)
-		captureMap(&w.l2Spill, s.L2.dirtySpill)
-	}
-	if s.DRAM != nil {
-		w.dram.capture(s.DRAM.array)
-		captureMap(&w.dramSpill, s.DRAM.dirtySpill)
-	}
+	w.lower.capture(s.Lower.array)
+	captureMap(&w.lowerSpill, s.Lower.dirtySpill)
 }
 
 // ApplyWarm overwrites the hierarchy's warm state with w, leaving its
 // ports, MSHRs, buffers, and counters untouched (they are still in
 // their reset state during prewarm). s must have been built from a
-// config with the same WarmStateKey as the captured system's; shape
-// and geometry are validated before anything is overwritten. w is
-// only read, so several hierarchies may apply it at once.
+// config with the same WarmStateKey as the captured system's; both
+// arrays' geometries are validated before anything is overwritten. w
+// is only read, so several hierarchies may apply it at once.
 func (s *System) ApplyWarm(w *WarmState) error {
-	if (s.L2 != nil) != w.hasL2 || (s.DRAM != nil) != w.hasDRAM {
-		return fmt.Errorf("mem: warm state applied across different hierarchy shapes")
-	}
 	if err := w.l1.fits("L1", s.L1.array); err != nil {
 		return err
 	}
-	if s.L2 != nil {
-		if err := w.l2.fits("L2", s.L2.array); err != nil {
-			return err
-		}
-	}
-	if s.DRAM != nil {
-		if err := w.dram.fits("DRAM", s.DRAM.array); err != nil {
-			return err
-		}
+	if err := w.lower.fits(s.Lower.name(), s.Lower.array); err != nil {
+		return err
 	}
 	w.l1.applyTo(s.L1.array)
 	s.L1.spill = cloneMap(w.spill)
-	if s.L2 != nil {
-		w.l2.applyTo(s.L2.array)
-		s.L2.dirtySpill = cloneMap(w.l2Spill)
-	}
-	if s.DRAM != nil {
-		w.dram.applyTo(s.DRAM.array)
-		s.DRAM.dirtySpill = cloneMap(w.dramSpill)
-	}
+	w.lower.applyTo(s.Lower.array)
+	s.Lower.dirtySpill = cloneMap(w.lowerSpill)
 	return nil
 }

@@ -89,7 +89,7 @@ func TestWriteBackTrafficOccupiesBus(t *testing.T) {
 		// two 32-byte fills (3 cycles each) plus a 32-byte writeback
 		t.Errorf("chip bus busy cycles = %d, writeback traffic missing", sys.ChipBus.BusyCycles())
 	}
-	if sys.L2.Accesses() == 0 {
+	if sys.Lower.Accesses() == 0 {
 		t.Error("hierarchy not exercised")
 	}
 }
@@ -99,7 +99,7 @@ func TestL2WriteBackPropagatesToMemory(t *testing.T) {
 	memBus, _ := NewBus(1.6, 5)
 	memory, _ := NewMemory(60, memBus)
 	// Tiny L2: 2 sets x 2 ways of 64-byte lines.
-	l2, err := NewL2Cache(L2Config{Bytes: 256, LineBytes: 64, Assoc: 2, HitCycles: 10}, up, memory)
+	l2, err := newL2(L2Config{Bytes: 256, LineBytes: 64, Assoc: 2, HitCycles: 10}, up, memory)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestDRAMWriteBackKeepsRowsDirty(t *testing.T) {
 	memBus, _ := NewBus(1.6, 5)
 	memory, _ := NewMemory(60, memBus)
 	// Tiny DRAM: 2 sets x 2 ways of 512-byte rows.
-	d, err := NewDRAMCache(DRAMConfig{Bytes: 2048, RowBytes: 512, Assoc: 2, HitCycles: 6}, memory)
+	d, err := newDRAM(DRAMConfig{Bytes: 2048, RowBytes: 512, Assoc: 2, HitCycles: 6}, memory)
 	if err != nil {
 		t.Fatal(err)
 	}

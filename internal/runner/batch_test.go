@@ -288,3 +288,27 @@ func TestRunWallFromWorkerPickup(t *testing.T) {
 		}
 	}
 }
+
+// TestSimWallCountsBatchOnce: a lockstep batch's wall is charged to
+// SimWall once, not once per lane, so on a one-worker runner SimWall
+// never exceeds the runner's lifetime.
+func TestSimWallCountsBatchOnce(t *testing.T) {
+	cfgs := realConfigs(4)
+	for i := range cfgs {
+		cfgs[i].Benchmark = "gcc"
+	}
+	r, err := New(Options{Workers: 1, BatchSize: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.Run(context.Background(), cfgs); err != nil {
+		t.Fatal(err)
+	}
+	m := r.Metrics()
+	if m.Simulated != len(cfgs) {
+		t.Fatalf("simulated %d, want %d", m.Simulated, len(cfgs))
+	}
+	if m.SimWall <= 0 || m.SimWall > m.Elapsed {
+		t.Errorf("SimWall %v outside (0, Elapsed %v]", m.SimWall, m.Elapsed)
+	}
+}

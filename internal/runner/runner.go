@@ -146,7 +146,7 @@ type Metrics struct {
 	MemoHits  int           `json:"memo_hits"`   // jobs deduplicated against an identical job this process
 	Errors    int           `json:"errors"`      // jobs whose final attempt failed
 	Retries   int           `json:"retries"`     // extra attempts consumed by failing jobs
-	SimWall   time.Duration `json:"sim_wall_ns"` // cumulative wall time inside the simulator
+	SimWall   time.Duration `json:"sim_wall_ns"` // cumulative wall time inside the simulator, each batch counted once
 	Elapsed   time.Duration `json:"elapsed_ns"`  // wall time since the runner was created
 
 	// CorruptEntries is how many on-disk cache entries failed their
@@ -365,7 +365,7 @@ func (r *Runner) Run(ctx context.Context, cfgs []sim.Config) ([]JobResult, error
 	// settle finishes a job no pool worker took, timed from Run entry.
 	settle := func(jr *JobResult) {
 		jr.Wall = time.Since(start)
-		r.finish(jr)
+		r.finish(jr, 0)
 	}
 
 	// Claim or join a memo entry per job, in submission order, so a
@@ -500,16 +500,17 @@ func (r *Runner) batches(jobs []*job) [][]*job {
 // lookups first, then one simulate call over the misses, retries for
 // each retryable lane failure, and a store checkpoint per success.
 // Every job's memo entry is published exactly once, and every job's
-// Wall is timed from when the worker took the batch.
+// Wall is timed from when the worker took the batch. The n lanes of
+// one simulate call share its wall, so each charges Wall/n to SimWall.
 func (r *Runner) doBatch(ctx context.Context, jobs []*job) {
 	taken := time.Now()
-	settle := func(j *job) {
+	settle := func(j *job, lanes int) {
 		close(j.entry.done)
 		j.jr.Wall = time.Since(taken)
 		if r.onTerminal != nil {
 			r.onTerminal(j.key, j.jr.Config, j.jr.Err)
 		}
-		r.finish(j.jr)
+		r.finish(j.jr, j.jr.Wall/time.Duration(lanes))
 	}
 	var run []*job
 	for _, j := range jobs {
@@ -517,7 +518,7 @@ func (r *Runner) doBatch(ctx context.Context, jobs []*job) {
 			if res, ok := r.store.Get(j.key); ok {
 				j.entry.res = res
 				j.jr.Result, j.jr.CacheHit = res, true
-				settle(j)
+				settle(j, 1)
 				continue
 			}
 		}
@@ -529,7 +530,7 @@ func (r *Runner) doBatch(ctx context.Context, jobs []*job) {
 	if err := ctx.Err(); err != nil {
 		for _, j := range run {
 			j.entry.err, j.jr.Err = err, err
-			settle(j)
+			settle(j, 1)
 		}
 		return
 	}
@@ -552,7 +553,7 @@ func (r *Runner) doBatch(ctx context.Context, jobs []*job) {
 				_ = r.store.Put(j.key, j.jr.Config, laneRes)
 			}
 		}
-		settle(j)
+		settle(j, len(run))
 	}
 }
 
@@ -634,11 +635,12 @@ func (r *Runner) simulate(ctx context.Context, jobs []*job) (res []sim.Result, e
 	return []sim.Result{one}, []error{err}
 }
 
-// finish folds one completed job into the metrics and fires the
-// progress callback and listeners with a consistent snapshot. cbMu is
+// finish folds one completed job into the metrics, charging simWall to
+// SimWall when the job ran the simulator, and fires the progress
+// callback and listeners with a consistent snapshot. cbMu is
 // taken before the counters are updated so concurrent finishes deliver
 // their snapshots in the order the counters advanced.
-func (r *Runner) finish(jr *JobResult) {
+func (r *Runner) finish(jr *JobResult, simWall time.Duration) {
 	r.cbMu.Lock()
 	defer r.cbMu.Unlock()
 	r.mu.Lock()
@@ -650,7 +652,7 @@ func (r *Runner) finish(jr *JobResult) {
 		r.metrics.MemoHits++
 	case jr.Attempts > 0:
 		r.metrics.Simulated++
-		r.metrics.SimWall += jr.Wall
+		r.metrics.SimWall += simWall
 	}
 	if jr.Err != nil {
 		r.metrics.Errors++

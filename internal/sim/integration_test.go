@@ -66,12 +66,12 @@ func TestMissesRequireAccesses(t *testing.T) {
 	// no more (modulo MSHR merges, which reduce accesses).
 	core, sys := buildMachine(t, "gcc", mem.DefaultSRAMSystem(8<<10, 1, mem.PortConfig{Kind: mem.DuplicatePorts}, false))
 	core.Run(60_000)
-	if sys.L2.Accesses() == 0 {
+	if sys.Lower.Accesses() == 0 {
 		t.Fatal("no L2 traffic for an 8K cache")
 	}
-	if sys.L2.Accesses() > sys.L1.LoadMisses()+sys.L1.StoreMisses()+sys.L1.Writebacks() {
+	if sys.Lower.Accesses() > sys.L1.LoadMisses()+sys.L1.StoreMisses()+sys.L1.Writebacks() {
 		t.Errorf("L2 accesses (%d) exceed L1 miss+writeback traffic (%d)",
-			sys.L2.Accesses(), sys.L1.LoadMisses()+sys.L1.StoreMisses()+sys.L1.Writebacks())
+			sys.Lower.Accesses(), sys.L1.LoadMisses()+sys.L1.StoreMisses()+sys.L1.Writebacks())
 	}
 }
 

@@ -3,6 +3,8 @@ package sim
 import (
 	"fmt"
 	"math"
+	"strconv"
+	"strings"
 
 	"hbcache/internal/cpu"
 )
@@ -18,6 +20,25 @@ type SampleSpec struct {
 	IntervalInsts uint64 `json:"interval_insts"`
 	WindowInsts   uint64 `json:"window_insts"`
 	WarmupInsts   uint64 `json:"warmup_insts"`
+}
+
+// ParseSampleSpec reads a sampling plan written "interval,window,warmup"
+// (instruction counts, spaces around each allowed). It checks the form
+// only; Config.Validate checks the plan against the measure window.
+func ParseSampleSpec(s string) (*SampleSpec, error) {
+	parts := strings.Split(s, ",")
+	if len(parts) != 3 {
+		return nil, fmt.Errorf("bad sample spec %q: want \"interval,window,warmup\"", s)
+	}
+	var vals [3]uint64
+	for i, p := range parts {
+		n, err := strconv.ParseUint(strings.TrimSpace(p), 10, 64)
+		if err != nil {
+			return nil, fmt.Errorf("bad sample spec %q: %v", s, err)
+		}
+		vals[i] = n
+	}
+	return &SampleSpec{IntervalInsts: vals[0], WindowInsts: vals[1], WarmupInsts: vals[2]}, nil
 }
 
 // validate rejects degenerate sampling plans. A nil spec (sampling off)

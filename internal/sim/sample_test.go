@@ -170,6 +170,26 @@ func TestSampleSpecValidation(t *testing.T) {
 	}
 }
 
+// TestParseSampleSpec pins the "interval,window,warmup" form hbsim and
+// hbsweep read from -sample: spaces around a count are allowed, a
+// wrong count or a non-decimal part is not.
+func TestParseSampleSpec(t *testing.T) {
+	for _, in := range []string{"6000,1500,500", " 6000, 1500 ,500 "} {
+		got, err := ParseSampleSpec(in)
+		if err != nil {
+			t.Fatalf("ParseSampleSpec(%q): %v", in, err)
+		}
+		if want := (SampleSpec{IntervalInsts: 6000, WindowInsts: 1500, WarmupInsts: 500}); *got != want {
+			t.Errorf("ParseSampleSpec(%q) = %+v, want %+v", in, *got, want)
+		}
+	}
+	for _, bad := range []string{"", "6000,1500", "6000,1500,500,1", "6000,x,500", "6000,-1,500", "6000,1 500,500"} {
+		if _, err := ParseSampleSpec(bad); err == nil {
+			t.Errorf("ParseSampleSpec(%q) should fail", bad)
+		}
+	}
+}
+
 // TestSampledTailInterval: a measure window that is not a multiple of
 // the interval leaves a tail; if warmup+window don't fit, the whole
 // tail is timed rather than dropped.
