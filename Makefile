@@ -104,9 +104,10 @@ cover:
 		|| { echo "cover: total $$total% fell below the $(COVER_MIN)% floor"; exit 1; }
 
 # Short-budget native fuzzing: the whole simulator under invariant
-# checking, the snapshot codec, and the binary trace decoder (decode of
+# checking, the snapshot codec, the binary trace decoder (decode of
 # adversarial bytes must classify the error or round-trip, never
-# panic). Go allows one -fuzz pattern per invocation, so the targets
+# panic), and the closed-form region sweep against its per-touch
+# reference. Go allows one -fuzz pattern per invocation, so the targets
 # run back to back. FUZZTIME bounds each run (CI uses 30s); found
 # crashers land in the package's testdata/fuzz and re-run as regular
 # tests forever.
@@ -115,6 +116,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRunContext -fuzztime $(FUZZTIME) ./internal/sim
 	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/snapshot
 	$(GO) test -run '^$$' -fuzz FuzzTraceDecode -fuzztime $(FUZZTIME) ./internal/workload
+	$(GO) test -run '^$$' -fuzz FuzzSweep -fuzztime $(FUZZTIME) ./internal/mem
 
 # Benchmark run: BENCH selects the pattern, BENCH_COUNT the repetitions
 # (use BENCH_COUNT=10 with benchstat for before/after comparisons). The

@@ -194,6 +194,40 @@ func BenchmarkFullSimulation(b *testing.B) {
 	}
 }
 
+// BenchmarkRegionSweep times the pre-run region sweep every fresh
+// simulation starts with: database's regions (about 150k 32-byte
+// touches) through the default SRAM hierarchy, computed in closed form
+// and, for reference, touch by touch. Building the fresh hierarchy each
+// op needs is left out of the timing.
+func BenchmarkRegionSweep(b *testing.B) {
+	cfg := mem.DefaultSRAMSystem(32<<10, 1, mem.PortConfig{Kind: mem.DuplicatePorts}, true)
+	var ranges []mem.Range
+	for _, r := range workload.MustNew("database", 1).Regions() {
+		ranges = append(ranges, mem.Range{Base: r.Base, Bytes: r.Bytes})
+	}
+	never := func() bool { return false }
+	for _, bc := range []struct {
+		name  string
+		sweep func(*mem.System, []mem.Range, func() bool) bool
+	}{
+		{"closed-form", (*mem.System).Sweep},
+		{"touches", (*mem.System).TouchSweep},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sys, err := mem.NewSystem(cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				bc.sweep(sys, ranges, never)
+			}
+		})
+	}
+}
+
 // batchSweepConfigs is the BenchmarkBatchSweep design space: four L1
 // sizes crossed with four of the paper's headline organizations (ideal
 // dual-ported, eight-way banked, duplicate arrays + line buffer, and

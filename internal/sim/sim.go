@@ -508,16 +508,20 @@ func (m *machine) step() (bool, error) {
 	return true, nil
 }
 
-// sweep walks every workload region through the tag arrays so anything
-// that fits some level is resident, as it would be in a long run.
+// sweep brings every workload region through the tag arrays so anything
+// that fits some level is resident, as it would be in a long run: the
+// state of a warm touch on every 32 bytes of each region. The machine's
+// hierarchy is freshly built and generated regions lie far apart, so
+// mem.System.Sweep computes that state directly; a region list that
+// shares a line between regions is touched one 32-byte step at a time.
 func (m *machine) sweep() error {
-	for _, region := range m.gen.Regions() {
-		for off := uint64(0); off < region.Bytes; off += 32 {
-			if off&(64<<10-1) == 0 && m.stop.Load() {
-				return m.abortErr()
-			}
-			m.sys.WarmTouch(region.Base + off)
-		}
+	regions := m.gen.Regions()
+	ranges := make([]mem.Range, len(regions))
+	for i, r := range regions {
+		ranges[i] = mem.Range{Base: r.Base, Bytes: r.Bytes}
+	}
+	if !m.sys.Sweep(ranges, m.stop.Load) {
+		return m.abortErr()
 	}
 	return nil
 }

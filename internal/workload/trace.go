@@ -268,6 +268,13 @@ func OpenTrace(data []byte) (*Trace, error) {
 	if hdr.Kind != TraceKind {
 		return nil, fmt.Errorf("%w: file holds %q, this binary reads %q", ErrTraceKind, hdr.Kind, TraceKind)
 	}
+	// Replay sweeps every region; one that wraps the address space has
+	// no end to sweep to.
+	for _, r := range hdr.Regions {
+		if r.Base+r.Bytes < r.Base {
+			return nil, fmt.Errorf("%w: region %q at %#x wraps the address space (%d bytes)", ErrTraceCorrupt, r.Name, r.Base, r.Bytes)
+		}
+	}
 	// Every record is at least 5 bytes, so a count the payload cannot
 	// hold fails before the record walk.
 	if hdr.Count > uint64(len(payload))/5 {

@@ -248,6 +248,29 @@ func TestTraceCorruptionClassified(t *testing.T) {
 	}
 }
 
+// TestTraceWrappingRegionRejected pins that a header region whose end
+// overflows the address space fails to open: replay would sweep it
+// without end. A region ending exactly at 2^64-1 still opens.
+func TestTraceWrappingRegionRejected(t *testing.T) {
+	open := func(r RegionInfo) error {
+		data, err := NewTraceWriter("apsi", 1, []RegionInfo{{Name: "heap", Base: 1 << 20, Bytes: 1 << 20}, r}).Bytes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = OpenTrace(data)
+		return err
+	}
+	if err := open(RegionInfo{Name: "wrap", Base: 1<<64 - 4096, Bytes: 8192}); !errors.Is(err, ErrTraceCorrupt) {
+		t.Errorf("wrapping region: got %v, want ErrTraceCorrupt", err)
+	}
+	if err := open(RegionInfo{Name: "huge", Base: 64, Bytes: 1<<64 - 1}); !errors.Is(err, ErrTraceCorrupt) {
+		t.Errorf("region longer than the address space: got %v, want ErrTraceCorrupt", err)
+	}
+	if err := open(RegionInfo{Name: "top", Base: 1<<64 - 4096, Bytes: 4095}); err != nil {
+		t.Errorf("region ending at the top of the address space: %v", err)
+	}
+}
+
 func TestTraceKindMismatch(t *testing.T) {
 	w := NewTraceWriter("apsi", 1, nil)
 	w.header.Kind = "hbcache-trace-v0"
