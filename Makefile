@@ -104,7 +104,7 @@ cover:
 		|| { echo "cover: total $$total% fell below the $(COVER_MIN)% floor"; exit 1; }
 
 # Short-budget native fuzzing: the whole simulator under invariant
-# checking, the snapshot codec, the binary trace decoder (decode of
+# checking, the sealed-record codec, the binary trace decoder (decode of
 # adversarial bytes must classify the error or round-trip, never
 # panic), and the closed-form region sweep against its per-touch
 # reference. Go allows one -fuzz pattern per invocation, so the targets
@@ -114,7 +114,7 @@ cover:
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzRunContext -fuzztime $(FUZZTIME) ./internal/sim
-	$(GO) test -run '^$$' -fuzz FuzzDecode -fuzztime $(FUZZTIME) ./internal/snapshot
+	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime $(FUZZTIME) ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzTraceDecode -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzSweep -fuzztime $(FUZZTIME) ./internal/mem
 

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"hbcache/internal/cpu"
+	"hbcache/internal/durable"
 	"hbcache/internal/mem"
 	"hbcache/internal/runner"
 	"hbcache/internal/service"
@@ -392,14 +393,14 @@ func TestClusterE2ECoordinatorDiskStore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var e runner.StoreEntry
-		err = json.NewDecoder(resp.Body).Decode(&e)
+		body, err := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusOK || err != nil {
 			t.Fatalf("GET /v1/store/%s after restart = %d (err %v)", key, resp.StatusCode, err)
 		}
-		if !e.Verify(key) {
-			t.Fatalf("entry %s failed verification after restart", key)
+		var e runner.StoreEntry
+		if err := durable.Open(body, runner.StoreKind, &e); err != nil || e.Key != key {
+			t.Fatalf("entry %s failed verification after restart: %v (holds key %s)", key, err, e.Key)
 		}
 	}
 

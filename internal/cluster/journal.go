@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -14,7 +13,6 @@ import (
 	"hbcache/internal/fault"
 	"hbcache/internal/runner"
 	"hbcache/internal/sim"
-	"hbcache/internal/snapshot"
 )
 
 // The sweep journal is the coordinator's write-ahead log: every sweep
@@ -25,16 +23,17 @@ import (
 // keys from the runner.Store (zero re-dispatch, zero re-simulation) and
 // re-dispatches only the unfinished shards.
 //
-// Each record is a snapshot.Envelope (version + kind + SHA-256) on its
-// own line, appended with a single O_APPEND write — the same torn-write
-// discipline as internal/snapshot, adapted from rename-into-place to
-// append-only. A torn or bit-rotted line fails checksum verification at
-// replay; bad lines are quarantined to <journal>.corrupt (preserved for
-// postmortem) and replay continues past them, so one bad record never
-// takes down recovery of the sweeps around it.
+// Each record is a durable.Seal record (version + kind + SHA-256 over
+// its exact bytes) on its own line, appended with a single O_APPEND
+// write — the torn-write discipline of durable.WriteFile, adapted from
+// rename-into-place to append-only. A torn or bit-rotted line fails
+// durable.Open at replay; bad lines are quarantined to
+// <journal>.corrupt (preserved for postmortem) and replay continues
+// past them, so one bad record never takes down recovery of the sweeps
+// around it.
 
-// journalKind discriminates sweep-journal records from other envelope
-// users (machine snapshots, cache entries).
+// journalKind discriminates sweep-journal records from the other sealed
+// records (machine snapshots, cache entries).
 const journalKind = "hbcache-sweep-journal"
 
 // journalFile is the journal's filename inside the journal directory.
@@ -108,7 +107,7 @@ func (j *Journal) Path() string {
 	return j.path
 }
 
-// Append seals rec into a checksummed envelope and appends it as one
+// Append seals rec into a durable record and appends it as one
 // line. The write is a single Write call followed by Sync, so a crash
 // can tear at most the final line — which replay quarantines. A
 // KindCorrupt fault rule at SiteClusterJournalWrite mangles the bytes
@@ -120,7 +119,7 @@ func (j *Journal) Append(rec Record) error {
 	if err := j.faults.Fire(context.Background(), fault.SiteClusterJournalWrite); err != nil {
 		return err
 	}
-	b, err := snapshot.Encode(journalKind, rec)
+	b, err := durable.Seal(journalKind, rec)
 	if err != nil {
 		return err
 	}
@@ -226,12 +225,14 @@ func Replay(dir string, faults *fault.Registry) (*ReplayState, error) {
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 0, 64<<10), 16<<20)
 	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
+		// Lines are not trimmed: a record's bytes are exactly what was
+		// sealed, so stray whitespace is damage, not padding.
+		line := sc.Bytes()
 		if len(line) == 0 {
 			continue
 		}
 		var rec Record
-		if err := snapshot.Decode(line, journalKind, &rec); err != nil {
+		if err := durable.Open(line, journalKind, &rec); err != nil {
 			corrupt = append(corrupt, append([]byte(nil), line...))
 			st.Corrupt++
 			continue

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -17,13 +20,16 @@ import (
 	"hbcache/internal/runner"
 	"hbcache/internal/service"
 	"hbcache/internal/sim"
-	"hbcache/internal/snapshot"
 	"hbcache/internal/workload"
 )
 
-// errMiss is what a cache read reports for a miss: the cache answers
-// hit or miss, not an error.
+// errMiss is what a cache or store read reports for a miss: those
+// stores answer hit or miss, not an error.
 var errMiss = errors.New("cache miss")
+
+// errCorruptLine is what a journal read reports when replay
+// quarantined a line.
+var errCorruptLine = errors.New("journal line quarantined")
 
 // artefact is one stored file of some kind, with the kind's own read
 // path and quarantine counter.
@@ -39,6 +45,47 @@ type artefact struct {
 	// entries counts what the kind's listing reports; nil when the kind
 	// has no listing.
 	entries func() int
+	// inPlace marks kinds whose damaged bytes stay at path: a journal
+	// copies a bad line to <journal>.corrupt and replays past it, and a
+	// store body is refused by the client. Every read detects the
+	// damage again.
+	inPlace bool
+	// emptyIsMiss marks an append-only kind whose file torn back to
+	// empty has lost its record whole: nothing to recover, nothing to
+	// quarantine.
+	emptyIsMiss bool
+}
+
+// contractConfig is the config the cache, journal and store kinds hold.
+func contractConfig() sim.Config {
+	return sim.Config{
+		Benchmark:    "gcc",
+		Seed:         7,
+		CPU:          cpu.DefaultConfig(),
+		Memory:       mem.DefaultSRAMSystem(32<<10, 1, mem.PortConfig{Kind: mem.DuplicatePorts}, true),
+		MeasureInsts: 1000,
+	}
+}
+
+// contractResult is the result the cache and store kinds hold.
+var contractResult = sim.Result{Benchmark: "gcc", Cycles: 1234, IPC: 1.5}
+
+// storeGet reads key through s as a runner does: a hit or errMiss.
+func storeGet(s runner.Store, key string) (any, error) {
+	res, ok := s.Get(key)
+	if !ok {
+		return nil, errMiss
+	}
+	return res, nil
+}
+
+func mustKey(t *testing.T, cfg sim.Config) string {
+	t.Helper()
+	key, err := runner.Key(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return key
 }
 
 // kinds builds a freshly written artefact of each kind in dir.
@@ -51,29 +98,14 @@ var kinds = []struct {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := sim.Config{
-			Benchmark:    "gcc",
-			Seed:         7,
-			CPU:          cpu.DefaultConfig(),
-			Memory:       mem.DefaultSRAMSystem(32<<10, 1, mem.PortConfig{Kind: mem.DuplicatePorts}, true),
-			MeasureInsts: 1000,
-		}
-		key, err := runner.Key(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.Put(key, cfg, sim.Result{Benchmark: "gcc", Cycles: 1234, IPC: 1.5}); err != nil {
+		cfg := contractConfig()
+		key := mustKey(t, cfg)
+		if err := c.Put(key, cfg, contractResult); err != nil {
 			t.Fatal(err)
 		}
 		return artefact{
-			path: filepath.Join(dir, key[:2], key+".json"),
-			read: func() (any, error) {
-				res, ok := c.Get(key)
-				if !ok {
-					return nil, errMiss
-				}
-				return res, nil
-			},
+			path:        filepath.Join(dir, key[:2], key+".json"),
+			read:        func() (any, error) { return storeGet(c, key) },
 			corrupt:     func(err error) bool { return err == errMiss },
 			quarantined: c.CorruptEntries,
 			entries: func() int {
@@ -86,23 +118,96 @@ var kinds = []struct {
 		}
 	}},
 	{"snapshot", func(t *testing.T, dir string) artefact {
-		const kind = "contract-test"
-		type payload struct{ Cycle, PC uint64 }
-		path := filepath.Join(dir, "prewarm-gcc.json")
-		if err := snapshot.Save(path, kind, payload{Cycle: 99, PC: 0x400000}, nil); err != nil {
+		path := filepath.Join(dir, "abort-gcc.json")
+		st := &sim.MachineState{Config: contractConfig(), Phase: "measure", Remaining: 99}
+		if err := sim.WriteSnapshot(path, st, nil); err != nil {
 			t.Fatal(err)
 		}
 		return artefact{
-			path: path,
+			path:        path,
+			read:        func() (any, error) { return sim.ReadSnapshot(path, nil) },
+			corrupt:     func(err error) bool { return errors.Is(err, durable.ErrCorrupt) },
+			quarantined: sim.SnapshotsQuarantined,
+		}
+	}},
+	{"journal-line", func(t *testing.T, dir string) artefact {
+		j, err := cluster.OpenJournal(dir, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := cluster.Record{Type: cluster.RecordSweep, SweepID: "sweep-000001", Configs: []sim.Config{contractConfig()}}
+		if err := j.Append(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Close(); err != nil {
+			t.Fatal(err)
+		}
+		var lines int64 // lines replay quarantined
+		return artefact{
+			path: j.Path(),
 			read: func() (any, error) {
-				var p payload
-				err := snapshot.Load(path, kind, &p, nil)
-				return p, err
+				st, err := cluster.Replay(dir, nil)
+				if err != nil {
+					return nil, err
+				}
+				lines += int64(st.Corrupt)
+				switch {
+				case st.Corrupt > 0:
+					return nil, errCorruptLine
+				case st.Records == 0:
+					return nil, errMiss
+				}
+				return st, nil
 			},
-			corrupt: func(err error) bool {
-				return errors.Is(err, snapshot.ErrCorrupt) || errors.Is(err, snapshot.ErrVersion) || errors.Is(err, snapshot.ErrKind)
-			},
-			quarantined: snapshot.Quarantined,
+			corrupt:     func(err error) bool { return err == errCorruptLine },
+			quarantined: func() int64 { return lines },
+			inPlace:     true,
+			emptyIsMiss: true,
+		}
+	}},
+	{"store-body", func(t *testing.T, dir string) artefact {
+		// The body the coordinator's store server sends for key...
+		cfg := contractConfig()
+		key := mustKey(t, cfg)
+		backing := runner.NewMemStore()
+		if err := backing.Put(key, cfg, contractResult); err != nil {
+			t.Fatal(err)
+		}
+		mux := http.NewServeMux()
+		runner.NewStoreServer(backing).Register(mux)
+		srv := httptest.NewServer(mux)
+		t.Cleanup(srv.Close)
+		resp, err := http.Get(srv.URL + "/v1/store/" + key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET /v1/store/%s = %d (%v)", key, resp.StatusCode, err)
+		}
+		path := filepath.Join(dir, key+".body")
+		if err := durable.WriteFile(path, body); err != nil {
+			t.Fatal(err)
+		}
+		// ...served from path, so the damage loop can alter it, and
+		// opened as a worker's RemoteStore.Get opens it.
+		files := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				http.NotFound(w, r)
+				return
+			}
+			w.Write(b)
+		}))
+		t.Cleanup(files.Close)
+		rs := runner.NewRemoteStore(files.URL, files.Client(), nil)
+		return artefact{
+			path:        path,
+			read:        func() (any, error) { return storeGet(rs, key) },
+			corrupt:     func(err error) bool { return err == errMiss },
+			quarantined: rs.CorruptEntries,
+			inPlace:     true,
 		}
 	}},
 	{"trace", func(t *testing.T, dir string) artefact {
@@ -161,15 +266,14 @@ var damages = []struct {
 }
 
 // TestCrashSafetyDamageQuarantines: for every artefact kind, every damage
-// and every offset, a read either reports the kind's corrupt result or
-// decodes exactly what was written — never different data. A detected
-// damage moves the file to *.corrupt, counts exactly one quarantine,
-// and leaves a clean os.ErrNotExist miss for the next read and the
-// listing. Undetected damage exists only where the bytes decode to the
-// same value: the JSON kinds match field names case-insensitively and
-// ignore unknown ones, so a flipped letter case in a name, a flipped
-// name of a zero-valued field, or a lost trailing newline re-encodes
-// to the sealed bytes and verifies.
+// and every offset, a read reports the kind's corrupt result and
+// counts one quarantine. No single-bit flip verifies: every JSON kind
+// is a durable.Seal record whose checksum covers its exact bytes, and
+// traces checksum theirs. The one damage that may read back intact is
+// a torn tail that drops only a record's final newline. A file kind's
+// detected damage moves the file to *.corrupt and leaves a clean
+// os.ErrNotExist miss for the next read and the listing; an in-place
+// kind detects it again on every read.
 func TestCrashSafetyDamageQuarantines(t *testing.T) {
 	for _, k := range kinds {
 		for _, d := range damages {
@@ -191,9 +295,18 @@ func TestCrashSafetyDamageQuarantines(t *testing.T) {
 					}
 					before := a.quarantined()
 					got, err := a.read()
+					if len(bad) == 0 && a.emptyIsMiss {
+						if err != errMiss || a.quarantined() != before {
+							t.Fatalf("empty file: err = %v, quarantined %d→%d; want a clean miss", err, before, a.quarantined())
+						}
+						continue
+					}
 					if err == nil {
 						if !reflect.DeepEqual(got, want) || a.quarantined() != before {
 							t.Fatalf("offset %d: damaged file read back as %+v, want %+v or a corrupt result", i, got, want)
+						}
+						if d.name != "torn-tail" || i != len(good)-1 || good[i] != '\n' {
+							t.Fatalf("offset %d: %s damage verified", i, d.name)
 						}
 						continue
 					}
@@ -201,8 +314,13 @@ func TestCrashSafetyDamageQuarantines(t *testing.T) {
 					if !a.corrupt(err) {
 						t.Fatalf("offset %d: damaged read: err = %v, want the kind's corrupt result", i, err)
 					}
-					if got := a.quarantined(); got != before+1 {
-						t.Fatalf("offset %d: quarantine counter = %d, want %d", i, got, before+1)
+					// A flip that makes a newline splits a journal line
+					// in two, each quarantined.
+					if q := a.quarantined() - before; q < 1 || (q > 1 && !a.inPlace) {
+						t.Fatalf("offset %d: quarantine counter grew by %d, want 1", i, q)
+					}
+					if a.inPlace {
+						continue
 					}
 					if kept, err := os.ReadFile(a.path + ".corrupt"); err != nil || !bytes.Equal(kept, bad) {
 						t.Fatalf("offset %d: *.corrupt does not hold the damaged bytes: %v", i, err)

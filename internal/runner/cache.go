@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"encoding/hex"
@@ -81,8 +82,8 @@ type Cache struct {
 	// faults, when non-nil, injects read/write errors and corrupted
 	// bytes at the cache's fault sites for chaos testing.
 	faults *fault.Registry
-	// corrupt counts entries quarantined because they failed the
-	// key or checksum verification in Get.
+	// corrupt counts entries quarantined because they failed
+	// verification in Get.
 	corrupt atomic.Int64
 }
 
@@ -102,14 +103,18 @@ func (c *Cache) path(key string) string {
 // quarantined since it was opened.
 func (c *Cache) CorruptEntries() int64 { return c.corrupt.Load() }
 
+// legacyEntry begins every entry written before entries were sealed
+// records: indented StoreEntry JSON. Such a file is a result this
+// binary cannot verify, not damage, so Get misses it without
+// quarantining it, Keys skips it, and the next Put of its key
+// overwrites it.
+var legacyEntry = []byte("{\n  \"Key\"")
+
 // Get returns the cached result for key, if present and intact. A
-// missing file is a plain miss. A file that exists but fails to parse,
-// carries the wrong key, or fails its checksum is quarantined (renamed
+// missing file or a legacy entry is a plain miss. A file that fails
+// durable.Open or holds another key's entry is quarantined (renamed
 // *.corrupt, counted in CorruptEntries) and reported as a miss, so the
 // simulation re-runs once and the bad bytes are kept for inspection.
-// Entries from before checksums existed carry no Sum and quarantine the
-// same way — re-deriving them is deterministic and cheap compared to
-// trusting unverifiable bytes.
 func (c *Cache) Get(key string) (sim.Result, bool) {
 	// Cache sites have no caller context (hangs are unsupported here —
 	// see fault.SiteCacheRead); injected errors behave as I/O misses.
@@ -118,11 +123,11 @@ func (c *Cache) Get(key string) (sim.Result, bool) {
 	}
 	p := c.path(key)
 	b, err := os.ReadFile(p)
-	if err != nil {
+	if err != nil || bytes.HasPrefix(b, legacyEntry) {
 		return sim.Result{}, false
 	}
-	var e StoreEntry
-	if err := json.Unmarshal(b, &e); err != nil || !e.Verify(key) {
+	e, err := openEntry(b, key)
+	if err != nil {
 		// Out of Get's path and Len's count: the next Get is a clean
 		// miss, so the result is recomputed exactly once rather than
 		// re-parsed (and re-failed) every run.
@@ -139,15 +144,13 @@ func (c *Cache) Put(key string, cfg sim.Config, res sim.Result) error {
 	if err := c.faults.Fire(context.Background(), fault.SiteCacheWrite); err != nil {
 		return err
 	}
-	e := StoreEntry{Key: key, Config: cfg, Result: res}
-	e.Seal()
-	b, err := json.MarshalIndent(e, "", "  ")
+	b, err := sealEntry(key, cfg, res)
 	if err != nil {
 		return err
 	}
-	// Chaos corruption happens after the checksum is computed, so the
-	// file lands on disk genuinely self-inconsistent — exactly what a
-	// torn write or bit rot produces.
+	// Chaos corruption happens after sealing, so the file lands on disk
+	// genuinely self-inconsistent — exactly what a torn write or bit
+	// rot produces.
 	c.faults.Mangle(fault.SiteCacheBytes, b)
 	return durable.WriteFile(c.path(key), append(b, '\n'))
 }
@@ -160,16 +163,20 @@ func (c *Cache) Len() (int, error) {
 }
 
 // Keys lists every stored entry's key, sorted. Quarantined *.corrupt
-// files are not entries and are not listed.
+// files and legacy entries are not entries and are not listed.
 func (c *Cache) Keys() ([]string, error) {
 	var keys []string
 	err := filepath.WalkDir(c.dir, func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
-		if !d.IsDir() && filepath.Ext(path) == ".json" {
-			keys = append(keys, strings.TrimSuffix(filepath.Base(path), ".json"))
+		if d.IsDir() || filepath.Ext(path) != ".json" {
+			return nil
 		}
+		if b, err := os.ReadFile(path); err == nil && bytes.HasPrefix(b, legacyEntry) {
+			return nil
+		}
+		keys = append(keys, strings.TrimSuffix(filepath.Base(path), ".json"))
 		return nil
 	})
 	sort.Strings(keys)

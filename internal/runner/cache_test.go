@@ -1,6 +1,8 @@
 package runner
 
 import (
+	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -174,6 +176,54 @@ func TestCacheCorruptEntryIsMiss(t *testing.T) {
 	}
 }
 
+// TestCacheLegacyEntryIsMiss: an entry in the format written before
+// entries were sealed records — indented StoreEntry JSON with its own
+// Sum field — is a plain miss, not corruption: nothing is quarantined,
+// Keys does not list it, and the next Put replaces it.
+func TestCacheLegacyEntryIsMiss(t *testing.T) {
+	dir := t.TempDir()
+	c, err := NewCache(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := baseConfig()
+	key := mustKey(t, cfg)
+	legacy, err := json.MarshalIndent(struct {
+		Key    string
+		Config sim.Config
+		Result sim.Result
+		Sum    string
+	}{key, cfg, sim.Result{IPC: 1}, "6c0bd4b5d1b6e2cbb1d9b7c2e08a4e4f4ae1bd0c5f32d7c0e6c4ea10d5b7f0a1"}, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, key[:2], key+".json")
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(legacy, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := c.Get(key); ok {
+		t.Error("legacy entry reported as a hit")
+	}
+	if n := c.CorruptEntries(); n != 0 {
+		t.Errorf("CorruptEntries = %d, want 0 (a legacy entry is not corrupt)", n)
+	}
+	if keys, err := c.Keys(); err != nil || len(keys) != 0 {
+		t.Errorf("Keys = %v (%v), want none", keys, err)
+	}
+	if _, err := os.Stat(path + ".corrupt"); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("legacy entry quarantined: %v", err)
+	}
+	if err := c.Put(key, cfg, sim.Result{IPC: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if res, ok := c.Get(key); !ok || res.IPC != 2 {
+		t.Errorf("Get after Put = %+v, %v; want IPC 2, true", res, ok)
+	}
+}
+
 // TestCachePutAtomic is the regression test for atomic disk writes: a
 // process killed mid-Put must never leave a torn entry where Get (or a
 // resumed sweep) will find it. Put stages into a temp file and renames,
@@ -247,9 +297,10 @@ func TestCachePutAtomic(t *testing.T) {
 	}
 }
 
-// TestCacheEntryStableJSON pins the on-disk encoding: entries store the
-// snake_case wire format of sim.Result, so external tooling can read
-// cache files without importing this module.
+// TestCacheEntryStableJSON pins the on-disk encoding: an entry is one
+// line of compact JSON holding the snake_case wire format of
+// sim.Result, so external tooling can read cache files without
+// importing this module.
 func TestCacheEntryStableJSON(t *testing.T) {
 	dir := t.TempDir()
 	c, err := NewCache(dir)
@@ -265,7 +316,10 @@ func TestCacheEntryStableJSON(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{`"ipc": 1.25`, `"misses_per_inst": 0.5`, `"benchmark": "gcc"`} {
+	if n := strings.Count(string(raw), "\n"); n != 1 || raw[len(raw)-1] != '\n' {
+		t.Errorf("cache entry spans %d lines, want one:\n%s", n, raw)
+	}
+	for _, want := range []string{`"ipc":1.25`, `"misses_per_inst":0.5`, `"benchmark":"gcc"`} {
 		if !strings.Contains(string(raw), want) {
 			t.Errorf("cache entry missing %s:\n%s", want, raw)
 		}

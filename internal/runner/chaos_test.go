@@ -143,7 +143,8 @@ func TestChaosCacheReadErrorIsMiss(t *testing.T) {
 }
 
 // TestChaosCacheWriteErrorDoesNotFailJob: the result is good even if
-// checkpointing it fails; the job succeeds and a later run recomputes.
+// checkpointing it fails; the job succeeds, the dropped write is
+// counted, and a later run recomputes.
 func TestChaosCacheWriteErrorDoesNotFailJob(t *testing.T) {
 	dir := t.TempDir()
 	var calls atomic.Int64
@@ -158,6 +159,9 @@ func TestChaosCacheWriteErrorDoesNotFailJob(t *testing.T) {
 	}
 	if n, err := r.store.(*Cache).Len(); err != nil || n != 0 {
 		t.Errorf("cache Len = %d (%v), want 0 (write was rejected)", n, err)
+	}
+	if m := r.Metrics(); m.StoreWriteErrors != 1 {
+		t.Errorf("StoreWriteErrors = %d, want 1", m.StoreWriteErrors)
 	}
 }
 

@@ -75,8 +75,8 @@ func (r *RemoteStore) Stats() RemoteStoreStats {
 }
 
 // Get fetches the entry for key from the remote server. Any failure —
-// network, non-200 status, undecodable body, checksum mismatch — is a
-// miss; only a verified entry is served.
+// network, non-200 status, a body that fails durable.Open or holds
+// another key — is a miss; only a verified entry is served.
 func (r *RemoteStore) Get(key string) (sim.Result, bool) {
 	r.gets.Add(1)
 	// Store sites have no caller context (the Store interface is
@@ -96,8 +96,8 @@ func (r *RemoteStore) Get(key string) (sim.Result, bool) {
 	if resp.StatusCode != http.StatusOK {
 		return sim.Result{}, false
 	}
-	var e StoreEntry
-	if err := json.NewDecoder(io.LimitReader(resp.Body, 1<<22)).Decode(&e); err != nil || !e.Verify(key) {
+	e, err := readEntry(resp.Body, key)
+	if err != nil {
 		r.corrupt.Add(1)
 		return sim.Result{}, false
 	}
@@ -105,17 +105,15 @@ func (r *RemoteStore) Get(key string) (sim.Result, bool) {
 	return e.Result, true
 }
 
-// Put uploads a sealed entry for key. The server re-verifies the
-// checksum before accepting, so a write mangled in flight is rejected
+// Put uploads a sealed entry for key. The server verifies the record
+// before accepting, so a write mangled in flight is rejected
 // rather than stored.
 func (r *RemoteStore) Put(key string, cfg sim.Config, res sim.Result) error {
 	if err := r.faults.Fire(context.Background(), fault.SiteStoreRemotePut); err != nil {
 		r.putErrs.Add(1)
 		return err
 	}
-	e := StoreEntry{Key: key, Config: cfg, Result: res}
-	e.Seal()
-	b, err := json.Marshal(e)
+	b, err := sealEntry(key, cfg, res)
 	if err != nil {
 		r.putErrs.Add(1)
 		return err

@@ -153,6 +153,11 @@ type Metrics struct {
 	// integrity check and were quarantined (renamed *.corrupt).
 	CorruptEntries int `json:"corrupt_entries"`
 
+	// StoreWriteErrors counts finished results the store refused (a full
+	// disk, an unreachable coordinator). The job still succeeds; the
+	// result is re-simulated the next time it is asked for.
+	StoreWriteErrors int `json:"store_write_errors"`
+
 	// PrewarmHits and PrewarmMisses count simulations that used a
 	// shared prewarm prefix and that drained one from the generator;
 	// PrewarmWarmFills counts finished prewarms captured for sharing
@@ -548,9 +553,13 @@ func (r *Runner) doBatch(ctx context.Context, jobs []*job) {
 				// Checkpoint before reporting done so a cancellation
 				// right after this job still finds the result in the
 				// store next run. A store write failure is not a job
-				// failure — the result itself is good — so it is
-				// deliberately dropped.
-				_ = r.store.Put(j.key, j.jr.Config, laneRes)
+				// failure — the result itself is good — so it is only
+				// counted.
+				if err := r.store.Put(j.key, j.jr.Config, laneRes); err != nil {
+					r.mu.Lock()
+					r.metrics.StoreWriteErrors++
+					r.mu.Unlock()
+				}
 			}
 		}
 		settle(j, len(run))

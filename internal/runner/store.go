@@ -1,12 +1,12 @@
 package runner
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
+	"fmt"
+	"io"
 	"sort"
 	"sync"
 
+	"hbcache/internal/durable"
 	"hbcache/internal/sim"
 )
 
@@ -34,41 +34,49 @@ type Store interface {
 	CorruptEntries() int64
 }
 
-// StoreEntry is the wire and on-disk record shared by every Store
-// backend. The config rides along purely for debuggability — `cat` a
-// cache file (or GET a store URL) and see what produced it. Sum is the
-// hex SHA-256 of the entry's compact JSON encoding with Sum itself
-// blank, so torn writes, bit rot, and mangled uploads are detected
-// instead of silently served. Field names are part of the format;
-// existing v3 disk caches parse unchanged.
+// StoreKind is the durable record kind of a sealed StoreEntry: every
+// disk cache file and every /v1/store body is one.
+const StoreKind = "hbcache-store-entry"
+
+// StoreEntry is the payload of the sealed record shared by every Store
+// backend, on disk and on the wire. The config rides along purely for
+// debuggability — `cat` a cache file (or GET a store URL) and see what
+// produced it. The record's checksum (durable.Seal) covers the exact
+// stored bytes, so torn writes, bit rot and mangled uploads are
+// detected instead of silently served.
 type StoreEntry struct {
 	Key    string
 	Config sim.Config
 	Result sim.Result
-	Sum    string
 }
 
-// sum returns the entry's checksum: the hex SHA-256 of its compact JSON
-// encoding with the Sum field cleared.
-func (e StoreEntry) sum() string {
-	e.Sum = ""
-	b, err := json.Marshal(e)
-	if err != nil {
-		// sim types marshal without error by construction; a failure here
-		// yields a value no stored Sum matches, so the entry quarantines.
-		return "unmarshalable"
+// sealEntry seals key's entry into the bytes every backend stores and
+// sends.
+func sealEntry(key string, cfg sim.Config, res sim.Result) ([]byte, error) {
+	return durable.Seal(StoreKind, StoreEntry{Key: key, Config: cfg, Result: res})
+}
+
+// openEntry verifies sealed entry bytes and checks that they hold key's
+// entry. Every failure wraps durable.ErrCorrupt.
+func openEntry(b []byte, key string) (StoreEntry, error) {
+	var e StoreEntry
+	if err := durable.Open(b, StoreKind, &e); err != nil {
+		return e, err
 	}
-	s := sha256.Sum256(b)
-	return hex.EncodeToString(s[:])
+	if e.Key != key {
+		return e, fmt.Errorf("%w: entry for key %.12s, want %.12s", durable.ErrCorrupt, e.Key, key)
+	}
+	return e, nil
 }
 
-// Seal stamps the entry's checksum over its current contents.
-func (e *StoreEntry) Seal() { e.Sum = e.sum() }
-
-// Verify reports whether the entry is internally consistent: its Sum
-// matches its contents and its Key matches key.
-func (e StoreEntry) Verify(key string) bool {
-	return e.Key == key && e.Sum == e.sum()
+// readEntry reads sealed entry bytes, at most 4 MiB, from r and opens
+// them as key's entry.
+func readEntry(r io.Reader, key string) (StoreEntry, error) {
+	b, err := io.ReadAll(io.LimitReader(r, 1<<22))
+	if err != nil {
+		return StoreEntry{}, err
+	}
+	return openEntry(b, key)
 }
 
 // MemStore is an in-memory Store: a mutex-guarded map. It backs tests,

@@ -3,7 +3,6 @@ package runner
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -16,14 +15,10 @@ import (
 	"hbcache/internal/sim"
 )
 
-// putEntry PUTs e raw (no client-side resealing) and returns the
-// response body and response.
-func putEntry(t *testing.T, base, key string, e StoreEntry) (string, *http.Response) {
+// putEntry PUTs the bytes b raw (no client-side resealing) and returns
+// the response body and response.
+func putEntry(t *testing.T, base, key string, b []byte) (string, *http.Response) {
 	t.Helper()
-	b, err := json.Marshal(e)
-	if err != nil {
-		t.Fatal(err)
-	}
 	req, err := http.NewRequest(http.MethodPut, base+"/v1/store/"+key, bytes.NewReader(b))
 	if err != nil {
 		t.Fatal(err)
@@ -37,12 +32,20 @@ func putEntry(t *testing.T, base, key string, e StoreEntry) (string, *http.Respo
 	return string(body), resp
 }
 
-func writeEntryJSON(t *testing.T, w http.ResponseWriter, e StoreEntry) {
+// sealedEntry seals key's entry, failing the test on error.
+func sealedEntry(t *testing.T, key string, cfg sim.Config, res sim.Result) []byte {
 	t.Helper()
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(e); err != nil {
-		t.Error(err)
+	b, err := sealEntry(key, cfg, res)
+	if err != nil {
+		t.Fatal(err)
 	}
+	return b
+}
+
+// tamper changes one payload byte of a sealed entry after sealing.
+func tamper(b []byte) []byte {
+	b[bytes.Index(b, []byte(`"payload":`))+len(`"payload":`)+2] ^= 1
+	return b
 }
 
 // storeKey makes a well-formed (64 hex char) key with a recognizable
@@ -172,10 +175,8 @@ func TestRemoteStoreVerification(t *testing.T) {
 		// A PUT whose body was mangled in flight: seal, then corrupt.
 		// The raw HTTP path is used so the client's own sealing cannot
 		// hide the tamper.
-		e := StoreEntry{Key: storeKey(8), Config: stubConfig(1), Result: storeResult(1)}
-		e.Seal()
-		e.Result.Cycles++ // tamper after sealing
-		body, resp := putEntry(t, ts.URL, storeKey(8), e)
+		b := tamper(sealedEntry(t, storeKey(8), stubConfig(1), storeResult(1)))
+		body, resp := putEntry(t, ts.URL, storeKey(8), b)
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("tampered PUT = %d (%s), want 400", resp.StatusCode, body)
 		}
@@ -188,9 +189,8 @@ func TestRemoteStoreVerification(t *testing.T) {
 	})
 
 	t.Run("ServerRejectsKeyMismatch", func(t *testing.T) {
-		e := StoreEntry{Key: storeKey(9), Config: stubConfig(1), Result: storeResult(1)}
-		e.Seal()
-		body, resp := putEntry(t, ts.URL, storeKey(10), e) // URL key ≠ entry key
+		b := sealedEntry(t, storeKey(9), stubConfig(1), storeResult(1))
+		body, resp := putEntry(t, ts.URL, storeKey(10), b) // URL key ≠ entry key
 		if resp.StatusCode != http.StatusBadRequest {
 			t.Errorf("key-mismatched PUT = %d (%s), want 400", resp.StatusCode, body)
 		}
@@ -199,10 +199,7 @@ func TestRemoteStoreVerification(t *testing.T) {
 	t.Run("ClientCountsCorruptResponses", func(t *testing.T) {
 		// A server that returns a mangled entry for any key.
 		bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-			e := StoreEntry{Key: r.PathValue("key"), Result: storeResult(1)}
-			e.Seal()
-			e.Result.Cycles++ // tamper after sealing
-			writeEntryJSON(t, w, e)
+			w.Write(tamper(sealedEntry(t, r.PathValue("key"), sim.Config{}, storeResult(1))))
 		}))
 		defer bad.Close()
 		rs := NewRemoteStore(bad.URL, bad.Client(), nil)

@@ -2,9 +2,10 @@ package runner
 
 import (
 	"encoding/json"
-	"io"
 	"net/http"
 	"sync/atomic"
+
+	"hbcache/internal/sim"
 )
 
 // StoreServerStats is a snapshot of a StoreServer's counters — the
@@ -22,13 +23,13 @@ type StoreServerStats struct {
 // fleet's shared result space:
 //
 //	GET /v1/store/{key}   sealed entry, or 404
-//	PUT /v1/store/{key}   sealed entry in the body; checksum re-verified
+//	PUT /v1/store/{key}   sealed entry in the body; verified on arrival
 //	GET /v1/store         {"keys": [...]}
 //
-// Uploads are verified before they are accepted: an entry whose key
-// does not match the URL or whose checksum does not match its contents
-// is rejected with 400 (and counted), so one worker with a flaky NIC
-// cannot poison the fleet's shared results.
+// Uploads are verified before they are accepted: an entry that fails
+// durable.Open or whose key does not match the URL is rejected with
+// 400 (and counted), so one worker with a flaky NIC cannot poison the
+// fleet's shared results.
 type StoreServer struct {
 	store Store
 
@@ -70,24 +71,21 @@ func (s *StoreServer) handleGet(w http.ResponseWriter, r *http.Request) {
 	// Re-seal on the way out: the backing store returns only the result
 	// (its own integrity checks already ran), so the wire entry's
 	// checksum covers exactly what this response carries.
-	e := StoreEntry{Key: key, Result: res}
-	e.Seal()
+	b, err := sealEntry(key, sim.Config{}, res)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
+	}
 	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(e)
+	_, _ = w.Write(append(b, '\n'))
 }
 
 func (s *StoreServer) handlePut(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	var e StoreEntry
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<22)).Decode(&e); err != nil {
+	e, err := readEntry(http.MaxBytesReader(w, r.Body, 1<<22), key)
+	if err != nil {
 		s.rejects.Add(1)
-		http.Error(w, "undecodable entry: "+err.Error(), http.StatusBadRequest)
-		return
-	}
-	io.Copy(io.Discard, r.Body)
-	if !e.Verify(key) {
-		s.rejects.Add(1)
-		http.Error(w, "entry failed key/checksum verification", http.StatusBadRequest)
+		http.Error(w, "entry failed verification: "+err.Error(), http.StatusBadRequest)
 		return
 	}
 	if err := s.store.Put(key, e.Config, e.Result); err != nil {

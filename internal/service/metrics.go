@@ -3,7 +3,7 @@ package service
 import (
 	"net/http"
 
-	"hbcache/internal/snapshot"
+	"hbcache/internal/sim"
 	"hbcache/internal/stats"
 	"hbcache/internal/workload"
 )
@@ -43,8 +43,9 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Counter("hbserved_runner_memo_hits_total", "Runner jobs deduplicated in-process.", float64(rm.MemoHits))
 	p.Counter("hbserved_runner_errors_total", "Runner jobs whose final attempt failed.", float64(rm.Errors))
 	p.Counter("hbserved_runner_retries_total", "Extra attempts consumed by failing runner jobs.", float64(rm.Retries))
+	p.Counter("hbserved_runner_store_write_errors_total", "Finished results the result store refused (full disk, unreachable coordinator); each is re-simulated when next asked for.", float64(rm.StoreWriteErrors))
 	p.Counter("hbserved_cache_corrupt_entries_total", "On-disk cache entries that failed their integrity check and were quarantined.", float64(rm.CorruptEntries))
-	p.Counter("hbserved_snapshot_quarantined_total", "Checkpoint files that failed verification and were quarantined to *.corrupt (process-wide).", float64(snapshot.Quarantined()))
+	p.Counter("hbserved_snapshot_quarantined_total", "Checkpoint files that failed verification and were quarantined to *.corrupt (process-wide).", float64(sim.SnapshotsQuarantined()))
 	p.Counter("hbserved_traces_quarantined_total", "Trace files that failed verification and were quarantined to *.corrupt (process-wide).", float64(workload.TracesQuarantined()))
 	p.Counter("hbserved_runner_prewarm_hits_total", "Simulations that used a shared prewarm prefix instead of generating it.", float64(rm.PrewarmHits))
 	p.Counter("hbserved_runner_prewarm_misses_total", "Simulations in a shared stream group that generated their prewarm prefix.", float64(rm.PrewarmMisses))

@@ -10,10 +10,10 @@ import (
 	"testing"
 
 	"hbcache/internal/cpu"
+	"hbcache/internal/fault"
 	"hbcache/internal/mem"
 	"hbcache/internal/runner"
 	"hbcache/internal/sim"
-	"hbcache/internal/snapshot"
 	"hbcache/internal/workload"
 )
 
@@ -86,7 +86,7 @@ func TestMetricsQuarantineAndPrewarmFamilies(t *testing.T) {
 
 	m := fetchMetrics(t, ts)
 	for name, want := range map[string]float64{
-		"hbserved_snapshot_quarantined_total": float64(snapshot.Quarantined()),
+		"hbserved_snapshot_quarantined_total": float64(sim.SnapshotsQuarantined()),
 		"hbserved_traces_quarantined_total":   float64(workload.TracesQuarantined()),
 	} {
 		if got := metricValue(t, m, name); got < 1 || got > want {
@@ -102,5 +102,37 @@ func TestMetricsQuarantineAndPrewarmFamilies(t *testing.T) {
 		if got := metricValue(t, m, name); got != want {
 			t.Errorf("%s = %v, want %v", name, got, want)
 		}
+	}
+}
+
+// TestMetricsStoreWriteErrors: a result the cache refuses to store
+// (here an injected runner.cache.write error, as a full disk would) still
+// completes its job and is counted on /metrics.
+func TestMetricsStoreWriteErrors(t *testing.T) {
+	rule, err := fault.ParseRule("runner.cache.write:error")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := runner.New(runner.Options{Workers: 1, Sim: stubSim, CacheDir: t.TempDir(), Faults: fault.New(1).Add(rule)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	jrs, err := r.Run(context.Background(), []sim.Config{testConfig(1), testConfig(2)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, jr := range jrs {
+		if jr.Err != nil {
+			t.Fatalf("job failed on a store write error: %v", jr.Err)
+		}
+	}
+	svc := New(r, Options{})
+	ts := httptest.NewServer(svc.Handler())
+	t.Cleanup(func() {
+		_ = svc.Shutdown(context.Background())
+		ts.Close()
+	})
+	if got := metricValue(t, fetchMetrics(t, ts), "hbserved_runner_store_write_errors_total"); got != 2 {
+		t.Errorf("hbserved_runner_store_write_errors_total = %v, want 2", got)
 	}
 }

@@ -2,22 +2,32 @@ package sim
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
+	"os"
+	"sync/atomic"
 
 	"hbcache/internal/check"
 	"hbcache/internal/cpu"
+	"hbcache/internal/durable"
 	"hbcache/internal/fault"
 	"hbcache/internal/mem"
-	"hbcache/internal/snapshot"
 	"hbcache/internal/workload"
 )
 
-// SnapshotKind discriminates machine-state snapshots inside the
-// snapshot envelope. Bump the suffix when MachineState changes
-// incompatibly; older files then fail with snapshot.ErrKind instead of
-// deserializing into the wrong shape.
+// SnapshotKind is the sealed-record kind of machine-state snapshots.
+// Bump the suffix when MachineState changes incompatibly; older files
+// then fail with durable.ErrCorrupt instead of deserializing into the
+// wrong shape.
 const SnapshotKind = "hbcache-sim-state-v1"
+
+// snapshotsQuarantined counts snapshot files quarantined process-wide.
+var snapshotsQuarantined atomic.Int64
+
+// SnapshotsQuarantined reports how many snapshot files this process
+// has quarantined to *.corrupt.
+func SnapshotsQuarantined() int64 { return snapshotsQuarantined.Load() }
 
 // MachineState is a complete simulation checkpoint: the config that
 // produced it, the phase cursor, the measure-phase baselines, and the
@@ -48,19 +58,40 @@ type MachineState struct {
 	Stream *check.StreamState `json:"stream,omitempty"`
 }
 
-// WriteSnapshot seals st into a checksummed snapshot file at path
-// (atomically: temp file + rename).
+// WriteSnapshot seals st into a durable record and writes it to path
+// with durable.WriteFile. A KindCorrupt fault rule at
+// fault.SiteSnapshotWrite mangles the bytes after sealing, so the file
+// lands on disk genuinely self-inconsistent — what a torn write
+// produces.
 func WriteSnapshot(path string, st *MachineState, faults *fault.Registry) error {
-	return snapshot.Save(path, SnapshotKind, st, faults)
+	if err := faults.Fire(context.Background(), fault.SiteSnapshotWrite); err != nil {
+		return err
+	}
+	b, err := durable.Seal(SnapshotKind, st)
+	if err != nil {
+		return err
+	}
+	faults.Mangle(fault.SiteSnapshotWrite, b)
+	return durable.WriteFile(path, append(b, '\n'))
 }
 
-// ReadSnapshot loads and verifies the snapshot at path. Unusable files
-// (corrupt, wrong version, wrong kind) are quarantined to *.corrupt by
-// the snapshot layer; a missing file satisfies
-// errors.Is(err, os.ErrNotExist).
+// ReadSnapshot reads and verifies the snapshot at path. A missing file
+// satisfies errors.Is(err, os.ErrNotExist). A file that fails
+// verification is quarantined — renamed to path+".corrupt", counted in
+// SnapshotsQuarantined — and the durable.ErrCorrupt error returned, so
+// the caller falls back to a cold start exactly once while the bad
+// bytes survive for triage.
 func ReadSnapshot(path string, faults *fault.Registry) (*MachineState, error) {
+	if err := faults.Fire(context.Background(), fault.SiteSnapshotRead); err != nil {
+		return nil, err
+	}
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return nil, err
+	}
 	var st MachineState
-	if err := snapshot.Load(path, SnapshotKind, &st, faults); err != nil {
+	if err := durable.Open(b, SnapshotKind, &st); err != nil {
+		durable.Quarantine(path, &snapshotsQuarantined)
 		return nil, err
 	}
 	return &st, nil

@@ -154,7 +154,7 @@ func TestTraceReplaySampled(t *testing.T) {
 // TestTraceReplaySnapshotResume pins the checkpoint path on traces: a
 // trace-backed run snapshotted mid-flight and resumed must reproduce
 // the straight-through replay bit-identically, exercising the
-// TraceReader's state export/import through the snapshot envelope.
+// TraceReader's state export/import through the sealed snapshot.
 func TestTraceReplaySnapshotResume(t *testing.T) {
 	dir := t.TempDir()
 	cfg := traceFor(t, dir, resumeConfig("vcs", mem.PortConfig{Kind: mem.BankedPorts, Count: 8}, false))

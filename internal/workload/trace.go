@@ -44,7 +44,7 @@ import (
 // Varint deltas exploit the stream's locality (loop bodies revisit
 // nearby PCs; regions cluster addresses), packing a typical record into
 // 6-9 bytes versus the 40 of an in-memory isa.Inst. The SHA-256 trailer
-// follows the snapshot envelope's conventions — sealed over the exact
+// follows durable.Seal's conventions — a checksum over the exact
 // bytes, verified before anything is parsed deeply, corrupt files
 // quarantined to *.corrupt — and its hex doubles as the trace's content
 // digest, the address used for caching and service upload dedup.
