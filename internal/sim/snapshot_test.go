@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"errors"
 	"os"
 	"path/filepath"
@@ -61,6 +62,17 @@ func TestReadSnapshotQuarantinesCorruptFile(t *testing.T) {
 	// the bad bytes.
 	if _, err := ReadSnapshot(path, nil); !errors.Is(err, os.ErrNotExist) {
 		t.Fatalf("second read: err=%v, want os.ErrNotExist", err)
+	}
+}
+
+// TestSnapshotFireContext pins that a nil fault registry is a total
+// no-op on both snapshot sites, which WriteSnapshot and ReadSnapshot
+// rely on when called without faults.
+func TestSnapshotFireContext(t *testing.T) {
+	for _, site := range []string{fault.SiteSnapshotRead, fault.SiteSnapshotWrite} {
+		if err := (*fault.Registry)(nil).Fire(context.Background(), site); err != nil {
+			t.Fatalf("%s: %v", site, err)
+		}
 	}
 }
 
