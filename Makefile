@@ -83,9 +83,9 @@ verify: build vet fmt race test
 # Record→replay conformance: the binary trace format must be lossless
 # (every workload replays instruction-for-instruction, same FNV stream
 # hash) and trace-backed runs must be bit-identical to live-generator
-# runs through every execution path — prewarm modes, batch lanes,
-# sampling, snapshot resume, the runner's cache key, and the service's
-# upload/resolve endpoints. -short trims the 9x3 matrix for CI; the
+# runs through every execution path — prewarm modes, the prewarm
+# cache, batch lanes, sampling, snapshot resume, the runner's cache key,
+# and the service's upload/resolve endpoints. -short trims the 9x3 matrix for CI; the
 # full cross runs under plain `make test`.
 trace:
 	$(GO) test -count=1 -v -short -run 'Trace' ./internal/workload ./internal/check ./internal/sim ./internal/runner ./internal/service

@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand/v2"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -46,8 +47,8 @@ const (
 	KindCorrupt Kind = "corrupt"
 )
 
-// Named injection sites wired into the production code. A rule's Site
-// may be any string, but these are the ones that exist today.
+// Named injection sites wired into the production code. A Rule built
+// in code may name any site; ParseRule accepts only these (Sites).
 const (
 	// SiteSimRun fires at the start of every simulation run.
 	SiteSimRun = "sim.run"
@@ -90,6 +91,14 @@ const (
 	// rehearses lease expiry without killing the worker.
 	SiteClusterHeartbeat = "cluster.heartbeat"
 )
+
+// Sites lists every Site* constant, in declaration order.
+var Sites = []string{
+	SiteSimRun, SiteCacheRead, SiteCacheWrite, SiteCacheBytes, SiteSSEWrite,
+	SiteClusterDispatch, SiteStoreRemoteGet, SiteStoreRemotePut,
+	SiteSnapshotRead, SiteSnapshotWrite, SiteClusterJournalWrite,
+	SiteClusterJournalRead, SiteClusterHeartbeat,
+}
 
 // ErrInjected is returned from sites where a KindError rule activates.
 var ErrInjected = errors.New("fault: injected error")
@@ -150,11 +159,15 @@ func (r Rule) String() string {
 
 // ParseRule parses the CLI syntax site:kind[:delay][:p=F][:skip=N][:limit=N],
 // e.g. "sim.run:hang:limit=1", "runner.cache.bytes:corrupt:p=0.1",
-// "sim.run:delay:500ms".
+// "sim.run:delay:500ms". The site must be one of Sites: a misspelt
+// one would arm nothing.
 func ParseRule(s string) (Rule, error) {
 	parts := strings.Split(s, ":")
 	if len(parts) < 2 {
 		return Rule{}, fmt.Errorf("fault: bad rule %q (want site:kind[:delay][:p=F][:skip=N][:limit=N])", s)
+	}
+	if !slices.Contains(Sites, parts[0]) {
+		return Rule{}, fmt.Errorf("fault: unknown site %q in rule %q (known: %s)", parts[0], s, strings.Join(Sites, ", "))
 	}
 	r := Rule{Site: parts[0], Kind: Kind(parts[1])}
 	for _, opt := range parts[2:] {

@@ -164,7 +164,7 @@ func TestParseRule(t *testing.T) {
 		{"sim.run:hang:limit=1", Rule{Site: "sim.run", Kind: KindHang, Limit: 1}},
 		{"sim.run:delay:500ms", Rule{Site: "sim.run", Kind: KindDelay, Delay: 500 * time.Millisecond}},
 		{"runner.cache.bytes:corrupt:p=0.1", Rule{Site: "runner.cache.bytes", Kind: KindCorrupt, P: 0.1}},
-		{"x:error:skip=3:limit=2:p=0.5", Rule{Site: "x", Kind: KindError, Skip: 3, Limit: 2, P: 0.5}},
+		{"cluster.dispatch:error:skip=3:limit=2:p=0.5", Rule{Site: "cluster.dispatch", Kind: KindError, Skip: 3, Limit: 2, P: 0.5}},
 	}
 	for _, tt := range tests {
 		got, err := ParseRule(tt.in)
@@ -181,7 +181,7 @@ func TestParseRule(t *testing.T) {
 			t.Errorf("round trip of %q via %q = %+v, %v", tt.in, got.String(), back, err)
 		}
 	}
-	for _, bad := range []string{"", "siteonly", "x:explode", "x:delay:notadur", "x:error:p=2", "x:error:frob=1"} {
+	for _, bad := range []string{"", "siteonly", "sim.run:explode", "sim.run:delay:notadur", "sim.run:error:p=2", "sim.run:error:frob=1", "cache.write:error"} {
 		if _, err := ParseRule(bad); err == nil {
 			t.Errorf("ParseRule(%q) accepted invalid rule", bad)
 		}

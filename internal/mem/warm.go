@@ -6,10 +6,11 @@ import (
 )
 
 // This file shares the functional prewarm between hierarchies whose
-// warm-phase state provably cannot differ: the batch kernel's
-// follower lanes and internal/sim's PrewarmCache both capture one
-// hierarchy's warm state (the L1's and the lower level's tag arrays
-// and spill maps) and apply it to the others.
+// warm-phase state provably cannot differ: internal/sim's
+// PrewarmCache, which every run and every batch lane prewarms
+// through, captures one hierarchy's warm state (the L1's and the
+// lower level's tag arrays and spill maps) and applies it to the
+// others.
 
 // WarmStateKey returns a grouping key over the configuration fields
 // that can influence the state produced by WarmTouch. Warm touches

@@ -16,10 +16,11 @@
 // Run is the one scheduler: single jobs (RunOne, the service's gulps),
 // figure passes and lockstep sweeps all run through it as batches of
 // Options.BatchSize jobs (one when batching is off). A batch of two or
-// more steps in lockstep through sim.RunBatch; a batch of one whose
-// stream group has two or more members shares its stream's functional
-// prewarm drain, and its cache geometry's finished prewarm, through
-// the runner's sim.PrewarmCache.
+// more steps in lockstep through sim.RunBatch, its lanes of one stream
+// reading one shared instruction ring. A batch, of any size, with a
+// job whose stream group has two or more members shares its streams'
+// functional prewarm drains, and each cache geometry's finished
+// prewarm, through the runner's one sim.PrewarmCache.
 //
 // Jobs are individually robust: a panicking simulation surfaces as that
 // job's error rather than crashing the process, failed jobs retry a
@@ -79,8 +80,9 @@ type Options struct {
 	SimCheck bool
 	// BatchSize, when greater than one, makes each worker execute up to
 	// BatchSize cache-missing jobs as one lockstep sim.RunBatch instead
-	// of one simulation at a time, sharing stream generation and the
-	// functional prewarm between compatible lanes. Results stay
+	// of one simulation at a time, sharing stream generation between
+	// lanes of one stream; the functional prewarm is shared through
+	// the runner's prewarm cache at every batch size. Results stay
 	// bit-identical to batches of one and are still content-keyed,
 	// memoized, cached, and returned in submission order; a retryable
 	// lane failure is retried as a batch of one. Ignored when Sim
@@ -162,9 +164,10 @@ type Metrics struct {
 	// shared prewarm prefix and that drained one from the generator;
 	// PrewarmWarmFills counts finished prewarms captured for sharing
 	// and PrewarmWarmApplies the simulations that applied one instead
-	// of sweeping and replaying (sim.PrewarmStats). Jobs outside a
-	// multi-job stream group, and every job of a BatchSize > 1 runner,
-	// touch none of them.
+	// of sweeping and replaying (sim.PrewarmStats). Every simulated
+	// job of a multi-job stream group counts once in PrewarmHits or
+	// PrewarmMisses, at any BatchSize; jobs outside one touch none of
+	// them.
 	PrewarmHits        int `json:"prewarm_hits"`
 	PrewarmMisses      int `json:"prewarm_misses"`
 	PrewarmWarmFills   int `json:"prewarm_warm_fills"`
@@ -208,10 +211,9 @@ type Runner struct {
 	// runOpts the options of the default simulator.
 	batch   int
 	runOpts sim.RunOpts
-	// prewarm is shared by Run's batches of one whose stream group has
-	// two or more members; nil when Sim replaces the default simulator
-	// or when lockstep batches share their streams themselves
-	// (batch > 1).
+	// prewarm is shared by Run's batches that hold a job whose stream
+	// group has two or more members; nil when Sim replaces the default
+	// simulator.
 	prewarm *sim.PrewarmCache
 	// snapshotDir parks the default simulator's abort snapshots; empty
 	// when off.
@@ -268,7 +270,7 @@ func New(opts Options) (*Runner, error) {
 		backoff = 0
 	}
 	var prewarm *sim.PrewarmCache
-	if batch == 1 && opts.Sim == nil {
+	if opts.Sim == nil {
 		prewarm = sim.NewPrewarmCache()
 	}
 	r := &Runner{
@@ -589,15 +591,15 @@ func (r *Runner) retryFailed(ctx context.Context, j *job, res sim.Result, err er
 // simulate runs one attempt of a batch, converting a panic into one
 // error per lane so a bad design point cannot take down a
 // thousand-point sweep; retries isolate a genuinely poisonous config
-// to its own job. Two or more jobs step in lockstep through
-// sim.RunBatch. A batch of one runs r.sim when set; otherwise it runs
-// the default simulator, sharing its prewarm through the runner's
-// prewarm cache when its stream group has two or more members, and
-// under a snapshot directory resuming the job's parked abort snapshot
-// and parking a new one if the budget stops it again. An unusable
-// snapshot (sim.ErrSnapshot: it was quarantined to *.corrupt) costs
-// one cold attempt, never the job; the snapshot is removed once the
-// job completes.
+// to its own job. The default simulator shares a batch's prewarm
+// through the runner's prewarm cache when one of its jobs' stream
+// group has two or more members. Two or more jobs step in lockstep
+// through sim.RunBatch. A batch of one runs r.sim when set; otherwise
+// it runs the default simulator, under a snapshot directory resuming
+// the job's parked abort snapshot and parking a new one if the budget
+// stops it again. An unusable snapshot (sim.ErrSnapshot: it was
+// quarantined to *.corrupt) costs one cold attempt, never the job; the
+// snapshot is removed once the job completes.
 func (r *Runner) simulate(ctx context.Context, jobs []*job) (res []sim.Result, errs []error) {
 	defer func() {
 		if p := recover(); p != nil {
@@ -609,21 +611,23 @@ func (r *Runner) simulate(ctx context.Context, jobs []*job) (res []sim.Result, e
 			}
 		}
 	}()
+	opts := r.runOpts
+	for _, j := range jobs {
+		if j.shared {
+			opts.Prewarm = r.prewarm
+		}
+	}
 	if len(jobs) > 1 {
 		cfgs := make([]sim.Config, len(jobs))
 		for i, j := range jobs {
 			cfgs[i] = j.jr.Config
 		}
-		return sim.RunBatch(ctx, cfgs, r.runOpts)
+		return sim.RunBatch(ctx, cfgs, opts)
 	}
 	j := jobs[0]
 	if r.sim != nil {
 		one, err := r.sim(ctx, j.jr.Config)
 		return []sim.Result{one}, []error{err}
-	}
-	opts := r.runOpts
-	if j.shared {
-		opts.Prewarm = r.prewarm
 	}
 	// Sampled runs neither resume nor park: their retired stream is
 	// discontinuous, so exact resume does not exist for them.

@@ -7,7 +7,6 @@ import (
 	"slices"
 	"sync/atomic"
 
-	"hbcache/internal/cpu"
 	"hbcache/internal/fault"
 	"hbcache/internal/isa"
 	"hbcache/internal/mem"
@@ -17,20 +16,18 @@ import (
 // This file is the simulation kernel: one goroutine steps a batch of
 // independent simulations ("lanes") in lockstep rounds of runChunk
 // retired instructions, each lane driven by machine.step. A single run
-// is a batch of one. Batching exploits two redundancies a sweep's
-// points share:
+// is a batch of one.
 //
-//   - The instruction stream depends only on (benchmark, seed), never
-//     on the timing or memory configuration, so fresh exhaustive lanes
-//     with the same stream key read one shared generator through a
-//     ring buffer instead of each paying stream synthesis (~half the
-//     wall time of a single run). A lane alone on its stream reads its
-//     own source directly.
-//   - The functional prewarm's state depends only on the stream and
-//     the cache geometry (mem.WarmStateKey), so sweep points that
-//     differ in ports, latencies, or line buffers share one warm
-//     replay: a leader lane replays the stream through its arrays and
-//     followers copy the result.
+// The instruction stream depends only on (benchmark, seed) — or a
+// trace's content digest — never on the timing or memory
+// configuration, so fresh exhaustive lanes with the same stream key
+// read one shared source through a ring buffer instead of each paying
+// stream synthesis (~half the wall time of a single run). A lane alone
+// on its stream reads its own source directly. That ring is the only
+// thing a batch does that a lone run does not: every lane prewarms
+// exactly as a lone run does, from a source of its own, and shares
+// the prewarm with other lanes and runs of its stream through
+// RunOpts.Prewarm (see PrewarmCache).
 //
 // Per-lane state (core, hierarchy, predictor, checkers) stays fully
 // independent — batched results are bit-identical to single runs,
@@ -43,9 +40,6 @@ import (
 // rounds, so their cursors stay within about one runChunk plus a
 // window of each other; the ring grows only under pathological skew.
 const ringInit = 1 << 14
-
-// warmChunk is the functional drain's chunk in instructions.
-const warmChunk = 4096
 
 // streamKey groups lanes that can share one generated stream: the
 // stream itself depends on (benchmark, seed) — or, for trace-backed
@@ -114,10 +108,12 @@ func groupByFirst[T any, K comparable](xs []T, key func(T) K) [][]T {
 
 // bstream is one shared instruction stream: a master source and a
 // ring of its records, read by each lane through its own cursor.
-// Records below every live cursor are discarded at fill time.
+// Records below every live cursor are discarded at fill time. The
+// master is chosen after prewarm (see start).
 type bstream struct {
 	gen   workload.Source
-	limit uint64 // absolute stream position where the source ends
+	trace *workload.Trace // a trace-backed stream's one opened recording
+	limit uint64          // absolute stream position where the source ends
 	lanes []*lane
 
 	buf  []isa.Inst
@@ -158,6 +154,32 @@ func (st *bstream) fill(target uint64) {
 	}
 }
 
+// start makes the first live lane's source the ring's master and
+// points the ring and every cursor at its position. Every lane of the
+// stream prewarmed its own source over the same window, so all of
+// them stand where the timed stream begins, exactly as a lone lane's
+// core picks up its already-advanced source. The live lanes drop
+// their own sources for the master's.
+func (st *bstream) start() {
+	for _, ln := range st.lanes {
+		if !ln.settled {
+			st.gen = ln.m.gen
+			break
+		}
+	}
+	if st.gen == nil {
+		return
+	}
+	pos := st.gen.Emitted()
+	st.base, st.next = pos, pos
+	for _, ln := range st.lanes {
+		ln.rd.pos = pos
+		if !ln.settled {
+			ln.m.gen = st.gen
+		}
+	}
+}
+
 func (st *bstream) grow(need uint64) {
 	newCap := uint64(len(st.buf))
 	for newCap < need {
@@ -194,13 +216,12 @@ func (r *laneReader) Next() (isa.Inst, bool) {
 	return inst, true
 }
 
-// lane is one simulation of the batch. A lane reads its stream either
-// through a cursor into a shared ring (rd set) or, when no other fresh
-// exhaustive lane shares its stream, straight from its own source,
-// exactly as an unbatched run would.
+// lane is one simulation of the batch. Its core reads its stream
+// either through a cursor into a shared ring (rd set) or, when no
+// other fresh exhaustive lane shares its stream, straight from the
+// lane's own source, exactly as an unbatched run would.
 type lane struct {
-	cfg     Config          // resolved
-	src     workload.Source // the lane's own source, or its stream's master
+	cfg     Config // resolved
 	m       *machine
 	rd      *laneReader
 	settled bool
@@ -235,7 +256,6 @@ func (ln *lane) step() bool {
 type Batch struct {
 	cancel      context.CancelFunc
 	watcherDone chan struct{}
-	stop        *atomic.Bool // batch-wide stop: cancellation / wall budget
 
 	streams []*bstream
 	lanes   []lane
@@ -245,9 +265,10 @@ type Batch struct {
 }
 
 // NewBatch assembles a batch of simulations over cfgs. Each lane's
-// hierarchy and core are built exactly as a single run's are, with
-// mem.NewSystem and cpu.New; what lanes share is a stream ring and,
-// at prewarm, a warm-state replay. Per-lane configuration errors —
+// source, hierarchy and core are built exactly as a single run's are,
+// with mem.NewSystem and cpu.New; what lanes share is a stream ring
+// and RunOpts.Prewarm, which a batch of two or more lanes without one
+// gets a PrewarmCache of its own for. Per-lane configuration errors —
 // and, for a batch of one, an unusable RunOpts.Resume snapshot —
 // settle that lane and leave the rest of the batch to run. A global
 // error is returned only for snapshot options on a batch of two or
@@ -274,7 +295,10 @@ func NewBatch(ctx context.Context, cfgs []Config, opts RunOpts) (*Batch, error) 
 		return nil, err
 	}
 
-	b := &Batch{cancel: cancel, stop: new(atomic.Bool), watcherDone: make(chan struct{})}
+	if opts.Prewarm == nil && len(cfgs) > 1 {
+		opts.Prewarm = NewPrewarmCache()
+	}
+	b := &Batch{cancel: cancel, watcherDone: make(chan struct{})}
 	b.lanes = make([]lane, len(cfgs))
 
 	// Resolve configs and count the fresh exhaustive lanes of each
@@ -294,41 +318,47 @@ func NewBatch(ctx context.Context, cfgs []Config, opts RunOpts) (*Batch, error) 
 		}
 	}
 	// Build every viable lane the way a single run is built. A lane
-	// on a shared stream reads it through its own ring cursor.
+	// on a shared stream reads it through its own ring cursor and
+	// keeps a source of its own for its prewarm; the lanes of a
+	// trace-backed stream replay its one opened recording.
 	byKey := make(map[streamKey]*bstream)
 	for i := range b.lanes {
 		ln := &b.lanes[i]
 		if ln.settled {
 			continue
 		}
-		var rd isa.Reader // nil: the lane reads a source of its own
+		var src workload.Source // nil: construct builds the lane's source
+		var rd isa.Reader       // nil: the core reads the lane's source
 		if key := streamKeyOf(ln.cfg); ln.cfg.Sample == nil && opts.Resume == "" && readers[key] > 1 {
 			st, ok := byKey[key]
 			if !ok {
-				gen, err := ln.cfg.newSource()
-				if err != nil {
-					ln.fail(err)
-					continue
+				st = &bstream{limit: ^uint64(0), buf: make([]isa.Inst, ringInit), mask: ringInit - 1}
+				if ln.cfg.Trace != nil {
+					tr, err := ln.cfg.Trace.open()
+					if err != nil {
+						ln.fail(err)
+						continue
+					}
+					st.trace, st.limit = tr, tr.Count()
 				}
-				st = &bstream{gen: gen, limit: sourceLimit(gen), buf: make([]isa.Inst, ringInit), mask: ringInit - 1}
 				byKey[key] = st
 				b.streams = append(b.streams, st)
 			}
-			ln.src, ln.rd = st.gen, &laneReader{st: st}
+			if st.trace != nil {
+				src = st.trace.NewReader()
+			}
+			ln.rd = &laneReader{st: st}
 			st.lanes = append(st.lanes, ln)
 			rd = ln.rd
 		}
-		src, sys, core, err := ln.cfg.construct(rd)
+		src, sys, core, err := ln.cfg.construct(src, rd)
 		if err != nil {
 			ln.fail(err)
 			continue
 		}
-		if rd == nil {
-			ln.src = src
-		}
 		// Each lane owns its stop flag so one lane's invariant
 		// violation or cycle budget halts only that lane.
-		m := assembleMachine(ctx, ln.cfg, opts, new(atomic.Bool), ln.src, sys, core)
+		m := assembleMachine(ctx, ln.cfg, opts, new(atomic.Bool), src, sys, core)
 		m.done = rctx.Done()
 		if opts.Resume != "" {
 			if err := m.resume(opts.Resume); err != nil {
@@ -345,7 +375,6 @@ func NewBatch(ctx context.Context, cfgs []Config, opts RunOpts) (*Batch, error) 
 	go func() {
 		defer close(b.watcherDone)
 		<-rctx.Done()
-		b.stop.Store(true)
 		for i := range b.lanes {
 			if m := b.lanes[i].m; m != nil {
 				m.stop.Store(true)
@@ -356,110 +385,28 @@ func NewBatch(ctx context.Context, cfgs []Config, opts RunOpts) (*Batch, error) 
 }
 
 // prewarm brings every fresh lane to the start of its first timed
-// phase: lanes on a shared ring through their stream's shared replay,
-// lanes on their own source through their machine's own prewarm.
+// phase through its machine's own prewarm, in StreamGroups order so
+// that the lanes of one stream and cache geometry prewarm back to back
+// and find each other's work in the prewarm cache, then starts each
+// shared ring where its lanes' sources stand.
 func (b *Batch) prewarm() {
-	for _, st := range b.streams {
-		b.prewarmStream(st)
-	}
+	cfgs := make([]Config, len(b.lanes))
 	for i := range b.lanes {
-		ln := &b.lanes[i]
-		if ln.settled || ln.rd != nil || ln.m.phase != "" {
-			continue
-		}
-		if err := ln.m.prewarm(); err != nil {
-			ln.fail(err)
-		}
+		cfgs[i] = b.lanes[i].cfg
 	}
-}
-
-// abortStream settles every live lane of the stream with its own
-// classified abort error (the stop that interrupts a shared prewarm is
-// batch-wide: cancellation or the wall budget).
-func (b *Batch) abortStream(st *bstream) {
-	for _, ln := range st.lanes {
-		if !ln.settled {
-			ln.fail(ln.m.abortErr())
-		}
-	}
-}
-
-// prewarmStream prewarms a shared stream's lanes, sharing the region
-// sweep and functional replay between lanes whose warm state cannot
-// differ (same stream, same mem.WarmStateKey).
-func (b *Batch) prewarmStream(st *bstream) {
-	// Group the stream's viable lanes by warm-state key; the first lane
-	// of each group replays, the rest copy its state.
-	var live []*lane
-	for _, ln := range st.lanes {
-		if !ln.settled {
-			live = append(live, ln)
-		}
-	}
-	if len(live) == 0 {
-		return
-	}
-	groups := groupByFirst(live, func(ln *lane) string { return mem.WarmStateKey(ln.cfg.Memory) })
-	cfg := live[0].cfg // windows and mode are stream-uniform
-
-	// Region sweep, leaders only.
-	for _, g := range groups {
-		if err := g[0].m.sweep(); err != nil {
-			b.abortStream(st)
-			return
-		}
-	}
-	if cfg.PrewarmMode != PrewarmTiming {
-		// Functional replay: drain the stream's prewarm prefix once,
-		// fanning memory references to each group leader and branch
-		// outcomes to every lane's own predictor — predictor state
-		// depends on the CPU config, so it is never shared.
-		var leaders []*mem.System
-		var preds []*cpu.Predictor
-		for _, g := range groups {
-			leaders = append(leaders, g[0].m.sys)
-			for _, ln := range g {
-				preds = append(preds, ln.m.core.Predictor())
+	for _, g := range StreamGroups(cfgs) {
+		for _, i := range g {
+			ln := &b.lanes[i]
+			if ln.settled || ln.m.phase != "" {
+				continue
 			}
-		}
-		if !drain(st.gen, cfg.PrewarmInsts, leaders, preds, b.stop, nil, new(drainBuf)) {
-			b.abortStream(st)
-			return
-		}
-	}
-	// Followers copy their leader's warm state. Timing-mode prewarm
-	// then runs through each lane's pipeline; only the sweep state was
-	// shareable.
-	var warm mem.WarmState
-	for _, g := range groups {
-		if len(g) == 1 {
-			continue
-		}
-		g[0].m.sys.CaptureWarm(&warm)
-		for _, f := range g[1:] {
-			if err := f.m.sys.ApplyWarm(&warm); err != nil {
-				f.fail(fmt.Errorf("%w: %v", ErrInvalidConfig, err))
+			if err := ln.m.prewarm(); err != nil {
+				ln.fail(err)
 			}
 		}
 	}
-	if cfg.PrewarmMode == PrewarmTiming {
-		for _, ln := range st.lanes {
-			if !ln.settled {
-				ln.m.phase, ln.m.remaining = phasePrewarm, ln.cfg.PrewarmInsts
-			}
-		}
-		return
-	}
-	// The timed stream begins where the replay left off: align the ring
-	// and every cursor to the generator's position, exactly as a lone
-	// lane's core picks up its already-advanced source.
-	pos := st.gen.Emitted()
-	st.base, st.next = pos, pos
-	for _, ln := range st.lanes {
-		ln.rd.pos = pos
-		if !ln.settled {
-			ln.m.phase, ln.m.remaining = phaseWarmup, ln.cfg.WarmupInsts
-		}
+	for _, st := range b.streams {
+		st.start()
 	}
 }
 

@@ -164,6 +164,43 @@ func TestBatchBitIdentityTimingPrewarm(t *testing.T) {
 	}
 }
 
+// TestBatchRingLanesPrewarmState pins a shared ring's lanes at the
+// machine-state level: after the first round of a batch on one stream
+// — two cache geometries, one of them with a same-geometry follower —
+// each lane's whole exported state, predictor and source cursor
+// included, equals a lone cold run's after its prewarm, in both
+// prewarm modes. Result identity at short windows cannot see a
+// predictor that skipped training; this can.
+func TestBatchRingLanesPrewarmState(t *testing.T) {
+	dup := mem.PortConfig{Kind: mem.DuplicatePorts}
+	for _, mode := range []PrewarmMode{PrewarmFastForward, PrewarmTiming} {
+		t.Run(string(mode), func(t *testing.T) {
+			cfgs := []Config{
+				prewarmCacheConfig("gcc", 16<<10, dup, true, mode),
+				prewarmCacheConfig("gcc", 64<<10, dup, true, mode),
+				prewarmCacheConfig("gcc", 16<<10, mem.PortConfig{Kind: mem.BankedPorts, Count: 8}, false, mode),
+			}
+			b, err := NewBatch(context.Background(), cfgs, RunOpts{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer b.Close()
+			if !b.Step() || b.Active() != len(cfgs) {
+				t.Fatalf("%d of %d lanes running after prewarm", b.Active(), len(cfgs))
+			}
+			for i, cfg := range cfgs {
+				ln := &b.lanes[i]
+				if ln.rd == nil {
+					t.Fatalf("lane %d is not on a shared ring", i)
+				}
+				if got, want := machineState(t, ln.m), prewarmedState(t, cfg, RunOpts{}); got != want {
+					t.Errorf("lane %d: machine state after the batch prewarm differs from a lone cold run's", i)
+				}
+			}
+		})
+	}
+}
+
 // TestBatchHeterogeneousBudgetAbort runs a mixed batch in which one
 // lane's measured window is far too long for the shared cycle budget:
 // that lane must fail with ErrBudget while every other lane completes

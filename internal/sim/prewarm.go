@@ -22,15 +22,16 @@ const prewarmCacheEntries = 2
 const maxPrefixBytes = 16 << 20
 
 // PrewarmCache shares the functional prewarm between runs of the same
-// synthetic stream, at two depths.
+// stream, at two depths.
 //
-// Every run of a (benchmark, seed) pair drains the identical first
-// PrewarmInsts instructions during fast-forward prewarm. The cache
-// keeps that prefix's memory-reference addresses and branch outcomes
-// (delta-varint encoded, about 1.5 bytes per instruction) and the
-// generator state after it, in a two-entry LRU, so a later run of the
-// stream replays the references into its own hierarchy and predictor
-// and imports the generator state instead of regenerating the prefix.
+// Every run of a (benchmark, seed) pair, or of one recorded trace,
+// drains the identical first PrewarmInsts instructions during
+// fast-forward prewarm. The cache keeps that prefix's memory-reference
+// addresses and branch outcomes (delta-varint encoded, about 1.5 bytes
+// per instruction) and the source state after it, in a two-entry LRU,
+// so a later run of the stream replays the references into its own
+// hierarchy and predictor and imports the source state instead of
+// regenerating (or re-decoding and re-touching) the prefix.
 //
 // What the region sweep and the prefix's references leave in the
 // hierarchy depends only on the stream and the cache geometry
@@ -41,7 +42,7 @@ const maxPrefixBytes = 16 << 20
 // buffers every later capture reuses. A later run of the same pair
 // applies the captured state instead of sweeping and replaying the
 // references, then replays only the branch outcomes into its own
-// predictor and imports the generator state. The slot holds one pair
+// predictor and imports the source state. The slot holds one pair
 // at a time: StreamGroups orders each stream's configs by geometry so
 // that a scheduler dispatching in its order refills it once per pair.
 //
@@ -49,13 +50,14 @@ const maxPrefixBytes = 16 << 20
 // same order as a cold drain, and an applied state is a copy of one,
 // so every path is bit-identical to a cold run, stream hash included.
 //
-// Runs share one cache through RunOpts.Prewarm; it is safe for
-// concurrent use. A run that finds the prefix or the warm state it
-// needs being filled by another run waits for that fill (or for its
-// own cancellation) rather than producing a second copy; a fill that
-// fails or panics releases its waiters without publishing anything.
-// Trace-backed configs, timing-mode prewarm, the sampled mode's
-// in-window fast-forwards, and resumed runs never consult it.
+// Runs share one cache through RunOpts.Prewarm, and so do the lanes
+// of a batch, a shared ring's included; it is safe for concurrent
+// use. A run that finds the prefix or the warm state it needs being
+// filled by another run waits for that fill (or for its own
+// cancellation) rather than producing a second copy; a fill that fails
+// or panics releases its waiters without publishing anything.
+// Timing-mode prewarm, the sampled mode's in-window fast-forwards, and
+// resumed runs never consult it.
 type PrewarmCache struct {
 	mu      sync.Mutex
 	entries [prewarmCacheEntries]*prefix // most recently used first
@@ -70,7 +72,7 @@ func NewPrewarmCache() *PrewarmCache { return &PrewarmCache{} }
 // PrewarmStats counts how runs used a PrewarmCache. Hits are runs that
 // used a cached prefix (replayed it, or applied a warm state paired
 // with it) and Misses runs that drained their prefix from the
-// generator; every run through the cache is exactly one of the two.
+// source; every run through the cache is exactly one of the two.
 // WarmFills counts captured warm states and WarmApplies the runs that
 // applied one.
 type PrewarmStats struct {
@@ -85,11 +87,22 @@ func (c *PrewarmCache) Stats() PrewarmStats {
 	return PrewarmStats{c.hits.Load(), c.misses.Load(), c.warmFills.Load(), c.warmApplies.Load()}
 }
 
-// prefixKey names one prewarm prefix: the stream and its length.
+// prefixKey names one prewarm prefix: the stream — a trace-backed
+// run's recording by its content digest — and its length.
 type prefixKey struct {
 	benchmark string
 	seed      uint64
+	trace     string
 	insts     uint64
+}
+
+// prefixKeyOf is the prefix a fresh machine's prewarm drains.
+func prefixKeyOf(m *machine) prefixKey {
+	key := prefixKey{benchmark: m.cfg.Benchmark, seed: m.cfg.Seed, insts: m.cfg.PrewarmInsts}
+	if tr, ok := m.gen.(*workload.TraceReader); ok {
+		key.trace = tr.Digest()
+	}
+	return key
 }
 
 // prefix is one cached (or in-flight) prewarm prefix. The filling run
@@ -100,9 +113,9 @@ type prefix struct {
 	ready chan struct{}
 
 	ok       bool
-	addrs    varintLog // memory references
-	branches varintLog // branch outcomes, packed pc<<1|taken
-	gen      workload.GeneratorState
+	addrs    varintLog               // memory references
+	branches varintLog               // branch outcomes, packed pc<<1|taken
+	gen      workload.GeneratorState // the source's state after the prefix
 }
 
 // warmKey names one finished prewarm: its prefix and the hierarchy
@@ -125,7 +138,7 @@ type warmSlot struct {
 	readers int  // runs waiting on or applying the payload
 
 	state  mem.WarmState
-	prefix *prefix // supplies the branch outcomes and generator state
+	prefix *prefix // supplies the branch outcomes and source state
 }
 
 // logChunk is the size of one varintLog chunk: large enough that a
@@ -154,24 +167,45 @@ func (l *varintLog) add(v uint64) {
 	l.last = v
 }
 
-// logReader decodes a varintLog from the start.
+// logReader decodes a varintLog from the start, runChunk values at a
+// time: one tight loop per chunk keeps the replays, which decode every
+// entry of a prefix once per run, off a call per entry.
 type logReader struct {
 	rest [][]byte
 	cur  []byte
 	v    uint64
+	buf  [runChunk]uint64
 }
 
-func (r *logReader) next() (uint64, bool) {
-	for len(r.cur) == 0 {
-		if len(r.rest) == 0 {
-			return 0, false
+// chunk decodes the next runChunk values, fewer at the end of the log
+// and none past it. The slice is valid until the next call.
+func (r *logReader) chunk() []uint64 {
+	cur, v, n := r.cur, r.v, 0
+	for n < len(r.buf) {
+		if len(cur) == 0 {
+			if len(r.rest) == 0 {
+				break
+			}
+			cur, r.rest = r.rest[0], r.rest[1:]
+			continue
 		}
-		r.cur, r.rest = r.rest[0], r.rest[1:]
+		// binary.Varint, inlined: the log was written by add, so no
+		// overflow or truncation checks are needed.
+		var x uint64
+		for shift := uint(0); ; shift += 7 {
+			b := cur[0]
+			cur = cur[1:]
+			x |= uint64(b&0x7f) << shift
+			if b < 0x80 {
+				break
+			}
+		}
+		v += uint64(int64(x>>1) ^ -int64(x&1))
+		r.buf[n] = v
+		n++
 	}
-	d, n := binary.Varint(r.cur)
-	r.cur = r.cur[n:]
-	r.v += uint64(d)
-	return r.v, true
+	r.cur, r.v = cur, v
+	return r.buf[:n]
 }
 
 // acquire finds key's prefix, moving it to the front, or inserts an
@@ -277,7 +311,7 @@ func (c *PrewarmCache) releaseWarm() {
 // (recording the prefix) or replays its prefix, and a run that
 // claimed the idle slot captures the result into it.
 func (c *PrewarmCache) warm(m *machine) error {
-	key := prefixKey{m.cfg.Benchmark, m.cfg.Seed, m.cfg.PrewarmInsts}
+	key := prefixKeyOf(m)
 	ready, fill := c.acquireWarm(warmKey{key, mem.WarmStateKey(m.cfg.Memory)})
 	if ready != nil && !fill {
 		applied, err := c.applyWarm(m, ready)
@@ -303,7 +337,7 @@ func (c *PrewarmCache) warm(m *machine) error {
 
 // applyWarm waits for the warm slot's fill, as a reader, and applies
 // it: the captured hierarchy state, the prefix's branch outcomes, and
-// the generator state after it. It reports false, with a nil error,
+// the source state after it. It reports false, with a nil error,
 // when the fill failed.
 func (c *PrewarmCache) applyWarm(m *machine, ready <-chan struct{}) (bool, error) {
 	defer c.releaseWarm()
@@ -374,37 +408,33 @@ func (c *PrewarmCache) sweepAndDrain(m *machine, key prefixKey) (_ *prefix, err 
 
 // replay applies a cached prefix to a fresh machine: every reference
 // into the hierarchy and every outcome into the predictor, in drain
-// order, then the generator state after the prefix. It polls the stop
+// order, then the source state after the prefix. It polls the stop
 // flag once per runChunk entries, as the cold drain does per chunk.
 func (m *machine) replay(p *prefix) error {
 	addrs := logReader{rest: p.addrs.chunks}
-	for i := 0; ; i++ {
-		a, ok := addrs.next()
-		if !ok {
-			break
-		}
-		if i%runChunk == 0 && m.stop.Load() {
+	for as := addrs.chunk(); len(as) > 0; as = addrs.chunk() {
+		if m.stop.Load() {
 			return m.abortErr()
 		}
-		m.sys.WarmTouch(a)
+		for _, a := range as {
+			m.sys.WarmTouch(a)
+		}
 	}
 	return m.replayBranches(p)
 }
 
 // replayBranches is replay without the references: the prefix's branch
-// outcomes into the predictor, then its generator state.
+// outcomes into the predictor, then its source state.
 func (m *machine) replayBranches(p *prefix) error {
 	pred := m.core.Predictor()
 	branches := logReader{rest: p.branches.chunks}
-	for i := 0; ; i++ {
-		b, ok := branches.next()
-		if !ok {
-			break
-		}
-		if i%runChunk == 0 && m.stop.Load() {
+	for bs := branches.chunk(); len(bs) > 0; bs = branches.chunk() {
+		if m.stop.Load() {
 			return m.abortErr()
 		}
-		pred.Warm(b>>1, b&1 == 1)
+		for _, b := range bs {
+			pred.Warm(b>>1, b&1 == 1)
+		}
 	}
 	if err := m.gen.ImportState(p.gen); err != nil {
 		return fmt.Errorf("sim: cached prewarm prefix: %w", err)

@@ -172,19 +172,13 @@ func TestPrewarmCacheConcurrent(t *testing.T) {
 }
 
 // TestPrewarmCacheBypass pins the runs that must not consult the cache:
-// timing-mode prewarm, trace-backed and resumed runs leave its
-// counters and its warm slot untouched.
+// timing-mode prewarm and resumed runs leave its counters and its warm
+// slot untouched. (Trace-backed runs use it: TestTraceReplayPrewarmCache.)
 func TestPrewarmCacheBypass(t *testing.T) {
 	cache := NewPrewarmCache()
 	cfg := prewarmCacheConfig("li", 32<<10, mem.PortConfig{Kind: mem.DuplicatePorts}, false, PrewarmTiming)
 	if _, err := RunContext(context.Background(), cfg, RunOpts{Prewarm: cache}); err != nil {
 		t.Fatal(err)
-	}
-	traced := traceFor(t, t.TempDir(), prewarmCacheConfig("li", 32<<10, mem.PortConfig{Kind: mem.DuplicatePorts}, false, PrewarmFastForward))
-	for range 2 {
-		if _, err := RunContext(context.Background(), traced, RunOpts{Prewarm: cache}); err != nil {
-			t.Fatal(err)
-		}
 	}
 	snap := t.TempDir() + "/mid.json"
 	cfg.PrewarmMode = PrewarmFastForward
@@ -232,7 +226,7 @@ func TestPrewarmCacheCapacity(t *testing.T) {
 // recording again.
 func TestPrewarmCachePublish(t *testing.T) {
 	cache := NewPrewarmCache()
-	key := prefixKey{"gcc", 1, 1000}
+	key := prefixKey{"gcc", 1, "", 1000}
 	p, fill := cache.acquire(key)
 	if !fill {
 		t.Fatal("empty cache returned an entry")
@@ -241,7 +235,7 @@ func TestPrewarmCachePublish(t *testing.T) {
 	if _, fill := cache.acquire(key); !fill {
 		t.Error("failed fill stayed cached")
 	}
-	p, _ = cache.acquire(prefixKey{"li", 1, 1000})
+	p, _ = cache.acquire(prefixKey{"li", 1, "", 1000})
 	cache.publish(p, true)
 	if q, fill := cache.acquire(p.key); fill || q != p || q.ok {
 		t.Error("kept unfilled entry not returned as-is")
@@ -290,7 +284,7 @@ func TestPrewarmCacheReplayAborts(t *testing.T) {
 
 	// An in-flight fill that never finishes: the waiter must leave on
 	// its own deadline.
-	pending, fill := cache.acquire(prefixKey{"li", 5, cfg.PrewarmInsts})
+	pending, fill := cache.acquire(prefixKey{"li", 5, "", cfg.PrewarmInsts})
 	if !fill {
 		t.Fatal("pending key already cached")
 	}
@@ -405,7 +399,14 @@ func prewarmedState(t *testing.T, cfg Config, opts RunOpts) string {
 	if !b.Step() {
 		t.Fatal(b.lanes[0].err)
 	}
-	data, err := json.Marshal(b.lanes[0].m.exportState(phaseWarmup, 0))
+	return machineState(t, b.lanes[0].m)
+}
+
+// machineState is m's whole exported state, under a fixed phase
+// cursor so that only the machine itself is compared.
+func machineState(t *testing.T, m *machine) string {
+	t.Helper()
+	data, err := json.Marshal(m.exportState(phaseWarmup, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -534,12 +535,16 @@ func TestVarintLogRoundTrip(t *testing.T) {
 		t.Fatalf("%d chunks; the test must cross a chunk boundary", len(l.chunks))
 	}
 	r := logReader{rest: l.chunks}
-	for i, w := range want {
-		if v, ok := r.next(); !ok || v != w {
-			t.Fatalf("entry %d: got %#x (ok=%v), want %#x", i, v, ok, w)
-		}
+	var got []uint64
+	for vs := r.chunk(); len(vs) > 0; vs = r.chunk() {
+		got = append(got, vs...)
 	}
-	if _, ok := r.next(); ok {
-		t.Error("reader ran past the last entry")
+	if len(got) != len(want) {
+		t.Fatalf("read %d entries, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		if got[i] != w {
+			t.Fatalf("entry %d: got %#x, want %#x", i, got[i], w)
+		}
 	}
 }

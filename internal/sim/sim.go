@@ -206,21 +206,25 @@ func (c Config) Validate() error {
 	if err := c.Sample.validate(c.MeasureInsts); err != nil {
 		return err
 	}
-	_, _, _, err := c.construct(nil)
+	_, _, _, err := c.construct(nil, nil)
 	return err
 }
 
 // construct builds the machine a config runs on, in order: its stream
-// source, its memory hierarchy, then its core. With rd nil the core
-// reads the new source; a batch lane on a shared stream passes its
-// ring cursor instead and gets no source of its own. Hierarchy and
-// core errors wrap ErrInvalidConfig, as source errors already do.
-// NewBatch, Validate and MachineState.Restore all build through here.
-func (c Config) construct(rd isa.Reader) (src workload.Source, sys *mem.System, core *cpu.CPU, err error) {
-	if rd == nil {
+// source, its memory hierarchy, then its core. A nil src is built with
+// newSource; a batch lane of a shared trace passes a reader over the
+// stream's one opened recording instead. With rd nil the core reads
+// the source; a batch lane on a shared stream passes its ring cursor.
+// Hierarchy and core errors wrap ErrInvalidConfig, as source errors
+// already do. NewBatch, Validate and MachineState.Restore all build
+// through here.
+func (c Config) construct(src workload.Source, rd isa.Reader) (_ workload.Source, sys *mem.System, core *cpu.CPU, err error) {
+	if src == nil {
 		if src, err = c.newSource(); err != nil {
 			return nil, nil, nil, err
 		}
+	}
+	if rd == nil {
 		rd = src
 	}
 	if sys, err = mem.NewSystem(c.Memory); err != nil {
@@ -284,13 +288,13 @@ type RunOpts struct {
 	SnapshotOnAbort string
 
 	// Prewarm, when non-nil, shares the functional prewarm of a fresh
-	// generator-backed run with other runs of the same stream through
-	// the cache (see PrewarmCache): the prefix, and the finished warm
-	// state of runs that also share a cache geometry. Results are
-	// bit-identical either way; nil sweeps and drains cold, the
+	// run with other runs of the same stream, synthetic or recorded,
+	// through the cache (see PrewarmCache): the prefix, and the
+	// finished warm state of runs that also share a cache geometry.
+	// Every lane of a batch prewarms through it, ring lanes included;
+	// a batch of two or more lanes without one makes its own. Results
+	// are bit-identical either way; nil sweeps and drains cold, the
 	// reference path.
-	// Batch lanes that share a stream ring ignore it: they already
-	// share one drain.
 	Prewarm *PrewarmCache
 }
 
@@ -343,8 +347,10 @@ type machine struct {
 	opts RunOpts
 	ctx  context.Context // caller context, for abort classification
 
-	// gen is the machine's own source, or — on a lane reading a shared
-	// ring — the stream's master source, which runs ahead of the core.
+	// gen is the machine's own source, which its prewarm drains. On a
+	// lane reading a shared ring it is, after the prewarm, the
+	// stream's master source, which runs ahead of the core
+	// (bstream.start).
 	gen    workload.Source
 	sys    *mem.System
 	core   *cpu.CPU
@@ -528,8 +534,8 @@ func (m *machine) sweep() error {
 
 // prewarm brings a fresh machine that reads its own source to steady
 // state, standing in for the paper's >100M-instruction runs: the
-// region sweep, then the prewarm window. A functional prewarm of a
-// synthetic stream goes through RunOpts.Prewarm when one is set,
+// region sweep, then the prewarm window. A functional prewarm goes
+// through RunOpts.Prewarm when one is set,
 // which may replace both steps with another run's finished warm state
 // (see PrewarmCache); otherwise the machine sweeps and drains the
 // window itself. A timed prewarm sweeps here and leaves the window to
@@ -545,7 +551,7 @@ func (m *machine) prewarm() error {
 		return nil
 	}
 	var err error
-	if m.opts.Prewarm != nil && m.cfg.Trace == nil {
+	if m.opts.Prewarm != nil {
 		err = m.opts.Prewarm.warm(m)
 	} else if err = m.sweep(); err == nil {
 		err = m.fastForward(m.cfg.PrewarmInsts, nil)
@@ -564,11 +570,14 @@ func (m *machine) fastForward(insts uint64, rec *prefixRecorder) error {
 	if m.buf == nil {
 		m.buf = new(drainBuf)
 	}
-	if !drain(m.gen, insts, []*mem.System{m.sys}, []*cpu.Predictor{m.core.Predictor()}, m.stop, rec, m.buf) {
+	if !drain(m.gen, insts, m.sys, m.core.Predictor(), m.stop, rec, m.buf) {
 		return m.abortErr()
 	}
 	return nil
 }
+
+// warmChunk is the functional drain's chunk in instructions.
+const warmChunk = 4096
 
 // drainBuf is drain's scratch: one chunk of memory references and
 // branch outcomes. A machine keeps its own, so a sampled run's
@@ -579,10 +588,10 @@ type drainBuf struct {
 
 // drain consumes insts instructions of gen functionally, in warmChunk
 // pieces, without running any pipeline: every memory reference warms
-// each of systems, every branch outcome trains each of preds, and rec,
-// when set, records both. Chunked so the generator's batch loop stays
-// call-free. It reports false, having stopped early, once stop is set.
-func drain(gen workload.Source, insts uint64, systems []*mem.System, preds []*cpu.Predictor, stop *atomic.Bool, rec *prefixRecorder, buf *drainBuf) bool {
+// sys, every branch outcome trains pred, and rec, when set, records
+// both. Chunked so the generator's batch loop stays call-free. It
+// reports false, having stopped early, once stop is set.
+func drain(gen workload.Source, insts uint64, sys *mem.System, pred *cpu.Predictor, stop *atomic.Bool, rec *prefixRecorder, buf *drainBuf) bool {
 	addrs, branches := buf.addrs[:], buf.branches[:]
 	for left := insts; left > 0; {
 		if stop.Load() {
@@ -594,15 +603,11 @@ func drain(gen workload.Source, insts uint64, systems []*mem.System, preds []*cp
 		}
 		left -= uint64(chunk)
 		na, nb := gen.Warm(chunk, addrs, branches)
-		for _, sys := range systems {
-			for _, a := range addrs[:na] {
-				sys.WarmTouch(a)
-			}
+		for _, a := range addrs[:na] {
+			sys.WarmTouch(a)
 		}
-		for _, pred := range preds {
-			for _, b := range branches[:nb] {
-				pred.Warm(b>>1, b&1 == 1)
-			}
+		for _, b := range branches[:nb] {
+			pred.Warm(b>>1, b&1 == 1)
 		}
 		if rec != nil {
 			rec.add(addrs[:na], branches[:nb])

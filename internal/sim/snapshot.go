@@ -105,7 +105,7 @@ func ReadSnapshot(path string, faults *fault.Registry) (*MachineState, error) {
 // budget or checker installed.
 func (st *MachineState) Restore() (*cpu.CPU, *mem.System, workload.Source, error) {
 	cfg := st.Config.WithDefaults()
-	gen, sys, core, err := cfg.construct(nil)
+	gen, sys, core, err := cfg.construct(nil, nil)
 	if err != nil {
 		return nil, nil, nil, err
 	}

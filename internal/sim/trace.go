@@ -61,15 +61,6 @@ func (c Config) newSource() (workload.Source, error) {
 	return tr.NewReader(), nil
 }
 
-// sourceLimit reports how many instructions a source can produce:
-// traces end, generators never do.
-func sourceLimit(src workload.Source) uint64 {
-	if tr, ok := src.(*workload.TraceReader); ok {
-		return tr.Len()
-	}
-	return ^uint64(0)
-}
-
 // DefaultTraceSlack is the extra instructions RecordTrace appends past
 // the configured windows. The out-of-order front end fetches ahead of
 // retirement (wrong-path and not-yet-retired instructions), so a trace

@@ -128,6 +128,42 @@ func TestTraceReplayBatchLanes(t *testing.T) {
 	}
 }
 
+// TestTraceReplayPrewarmCache pins trace-backed runs on the prewarm
+// cache: three configs replaying one recording — two cache geometries,
+// one of them twice — share its prefix and a finished warm state
+// through one cache, each Result equal to its cold run's, stream hash
+// included.
+func TestTraceReplayPrewarmCache(t *testing.T) {
+	dup := mem.PortConfig{Kind: mem.DuplicatePorts}
+	traced := traceFor(t, t.TempDir(), prewarmCacheConfig("li", 32<<10, dup, false, PrewarmFastForward))
+	cache := NewPrewarmCache()
+	for i, org := range []struct {
+		size  int
+		ports mem.PortConfig
+	}{
+		{32 << 10, dup},
+		{32 << 10, mem.PortConfig{Kind: mem.BankedPorts, Count: 8}},
+		{64 << 10, dup},
+	} {
+		cfg := traced
+		cfg.Memory = mem.DefaultSRAMSystem(org.size, 1, org.ports, false)
+		shared, err := RunContext(context.Background(), cfg, RunOpts{Hash: true, Prewarm: cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cold, err := RunContext(context.Background(), cfg, RunOpts{Hash: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(shared, cold) {
+			t.Errorf("config %d: trace run through the prewarm cache diverged:\nshared: %+v\ncold:   %+v", i, shared, cold)
+		}
+	}
+	if st := cache.Stats(); st != (PrewarmStats{Hits: 2, Misses: 1, WarmFills: 2, WarmApplies: 1}) {
+		t.Errorf("stats = %+v; want 2 hits, 1 miss, 2 warm fills, 1 warm apply", st)
+	}
+}
+
 // TestTraceReplaySampled pins replay identity under interval sampling:
 // the sampler's alternation of timed windows and functional
 // fast-forward must land on the same stream positions either way.
