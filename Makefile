@@ -106,8 +106,9 @@ cover:
 # Short-budget native fuzzing: the whole simulator under invariant
 # checking, the sealed-record codec, the binary trace decoder (decode of
 # adversarial bytes must classify the error or round-trip, never
-# panic), and the closed-form region sweep against its per-touch
-# reference. Go allows one -fuzz pattern per invocation, so the targets
+# panic), the closed-form region sweep against its per-touch
+# reference, and the stream tape's encoding (arbitrary records round-trip
+# exactly up to the first one it cannot hold, where the tape ends). Go allows one -fuzz pattern per invocation, so the targets
 # run back to back. FUZZTIME bounds each run (CI uses 30s); found
 # crashers land in the package's testdata/fuzz and re-run as regular
 # tests forever.
@@ -117,6 +118,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz FuzzOpen -fuzztime $(FUZZTIME) ./internal/durable
 	$(GO) test -run '^$$' -fuzz FuzzTraceDecode -fuzztime $(FUZZTIME) ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzSweep -fuzztime $(FUZZTIME) ./internal/mem
+	$(GO) test -run '^$$' -fuzz FuzzTape -fuzztime $(FUZZTIME) ./internal/sim
 
 # Benchmark run: BENCH selects the pattern, BENCH_COUNT the repetitions
 # (use BENCH_COUNT=10 with benchstat for before/after comparisons). The

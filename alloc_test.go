@@ -27,6 +27,21 @@ func pinZeroAllocs(t *testing.T, name string, f func()) {
 	}
 }
 
+// TestTapeReaderNextAllocFree pins the stream tape's read, and the
+// live read it hands over to past the tape's end, at zero allocations.
+func TestTapeReaderNextAllocFree(t *testing.T) {
+	const n = 5_000
+	rd, _, err := sim.NewTapeReader(workload.MustNew("gcc", 1), n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinZeroAllocs(t, "tape read", func() { rd.Next() })
+	for i := 0; i < n; i++ {
+		rd.Next()
+	}
+	pinZeroAllocs(t, "read past the tape", func() { rd.Next() })
+}
+
 func TestGeneratorNextAllocFree(t *testing.T) {
 	for _, name := range workload.BenchmarkNames() {
 		g := workload.MustNew(name, 1)

@@ -114,6 +114,70 @@ func BenchmarkWorkloadGenerator(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamSource times the stream-generation layer per
+// instruction over one quick timed window of gcc, in ns/inst, for each
+// way a core can be fed: the live generator (Generator.Next), a
+// recorded trace's replay (TraceReader.Next), and a stream tape's
+// replay, the path PrewarmCache feeds lone runs of a stream after its
+// first hit. The tape also reports its size in B/inst.
+func BenchmarkStreamSource(b *testing.B) {
+	const n = 70_000
+	read := func(b *testing.B, rd isa.Reader) {
+		for k := 0; k < n; k++ {
+			if _, ok := rd.Next(); !ok {
+				b.Fatalf("stream ended after %d instructions", k)
+			}
+		}
+	}
+	perInst := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/inst")
+	}
+	b.Run("generator", func(b *testing.B) {
+		g := workload.MustNew("gcc", 1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			read(b, g)
+		}
+		perInst(b)
+	})
+	b.Run("trace", func(b *testing.B) {
+		data, err := workload.RecordTrace("gcc", 1, n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		tr, err := workload.OpenTrace(data)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			read(b, tr.NewReader())
+		}
+		perInst(b)
+	})
+	b.Run("tape", func(b *testing.B) {
+		g := workload.MustNew("gcc", 1)
+		var size int
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			// Recording is the first hit's cost, not the read's.
+			b.StopTimer()
+			rd, bytes, err := sim.NewTapeReader(g, n)
+			if err != nil {
+				b.Fatal(err)
+			}
+			size = bytes
+			b.StartTimer()
+			read(b, rd)
+		}
+		perInst(b)
+		b.ReportMetric(float64(size)/n, "B/inst")
+	})
+}
+
 func BenchmarkCacheArrayLookup(b *testing.B) {
 	// The working set exactly fills the array (1024 lines into a
 	// 32K/32B/2-way = 1024-line cache, two lines per set), and a

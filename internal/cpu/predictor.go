@@ -91,6 +91,38 @@ func (p *Predictor) Warm(pc uint64, taken bool) {
 	p.Update(pc, taken, false)
 }
 
+// WarmPredictor is a trained predictor's counters and global history,
+// kept with the geometry they belong to (table size, gshare and its
+// history bits), so that a fresh predictor of that geometry can take
+// them instead of being trained again.
+type WarmPredictor struct {
+	counters    []uint8
+	history     uint64
+	gshare      bool
+	historyMask uint64
+}
+
+// CaptureWarm copies p's counters, history and geometry into w. Warm
+// training charges no prediction statistics, so on a predictor trained
+// only through Warm this is its whole state.
+func (p *Predictor) CaptureWarm(w *WarmPredictor) {
+	w.counters = append(w.counters[:0], p.counters...)
+	w.history, w.gshare, w.historyMask = p.history, p.gshare, p.historyMask
+}
+
+// ApplyWarm gives p the state captured in w when p has w's geometry,
+// reporting whether it did. Applied to a fresh predictor it is
+// bit-identical to replaying the Warm calls that trained w's source;
+// a predictor of another geometry is left untouched.
+func (p *Predictor) ApplyWarm(w *WarmPredictor) bool {
+	if len(w.counters) != len(p.counters) || w.gshare != p.gshare || w.historyMask != p.historyMask {
+		return false
+	}
+	copy(p.counters, w.counters)
+	p.history = w.history
+	return true
+}
+
 func boolBit(b bool) uint64 {
 	if b {
 		return 1

@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"fmt"
 	"testing"
 
 	"hbcache/internal/isa"
@@ -99,6 +100,38 @@ func TestPredictorCounters(t *testing.T) {
 	c.Inc()
 	if c.Value() != 6 {
 		t.Errorf("counter = %d, want 6", c.Value())
+	}
+}
+
+// TestPredictorWarmCopy pins CaptureWarm/ApplyWarm: a fresh predictor
+// of the captured geometry that applies the capture ends in the state
+// of one trained by the same Warm calls, and a predictor of any other
+// geometry refuses it untouched.
+func TestPredictorWarmCopy(t *testing.T) {
+	train := func(p *Predictor) *Predictor {
+		for i := uint64(0); i < 5000; i++ {
+			p.Warm(i*i%4093*4, i%3 != 0)
+		}
+		return p
+	}
+	var w WarmPredictor
+	train(NewGshare(512, 8)).CaptureWarm(&w)
+	got, want := NewGshare(512, 8), train(NewGshare(512, 8))
+	if !got.ApplyWarm(&w) {
+		t.Fatal("same geometry refused the capture")
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Error("applied predictor differs from a trained one")
+	}
+	for name, p := range map[string]*Predictor{
+		"entries":      NewGshare(1024, 8),
+		"history bits": NewGshare(512, 6),
+		"not gshare":   NewPredictor(512),
+	} {
+		fresh := fmt.Sprint(p)
+		if p.ApplyWarm(&w) || fmt.Sprint(p) != fresh {
+			t.Errorf("%s: another geometry took the capture", name)
+		}
 	}
 }
 

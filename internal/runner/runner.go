@@ -164,14 +164,18 @@ type Metrics struct {
 	// shared prewarm prefix and that drained one from the generator;
 	// PrewarmWarmFills counts finished prewarms captured for sharing
 	// and PrewarmWarmApplies the simulations that applied one instead
-	// of sweeping and replaying (sim.PrewarmStats). Every simulated
-	// job of a multi-job stream group counts once in PrewarmHits or
+	// of sweeping and replaying; PrewarmTapeFills counts recorded
+	// stream tapes and PrewarmTapeReads the simulations whose timed
+	// window was fed from one (sim.PrewarmStats). Every simulated job
+	// of a multi-job stream group counts once in PrewarmHits or
 	// PrewarmMisses, at any BatchSize; jobs outside one touch none of
-	// them.
+	// them. Only a batch's lone lanes read tapes.
 	PrewarmHits        int `json:"prewarm_hits"`
 	PrewarmMisses      int `json:"prewarm_misses"`
 	PrewarmWarmFills   int `json:"prewarm_warm_fills"`
 	PrewarmWarmApplies int `json:"prewarm_warm_applies"`
+	PrewarmTapeFills   int `json:"prewarm_tape_fills"`
+	PrewarmTapeReads   int `json:"prewarm_tape_reads"`
 }
 
 // Rate is completed jobs per second of runner lifetime (cache and memo
@@ -349,6 +353,7 @@ func (r *Runner) snapshotLocked() Metrics {
 	pw := r.prewarm.Stats()
 	m.PrewarmHits, m.PrewarmMisses = int(pw.Hits), int(pw.Misses)
 	m.PrewarmWarmFills, m.PrewarmWarmApplies = int(pw.WarmFills), int(pw.WarmApplies)
+	m.PrewarmTapeFills, m.PrewarmTapeReads = int(pw.TapeFills), int(pw.TapeReads)
 	return m
 }
 

@@ -51,6 +51,8 @@ func (s *Service) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	p.Counter("hbserved_runner_prewarm_misses_total", "Simulations in a shared stream group that generated their prewarm prefix.", float64(rm.PrewarmMisses))
 	p.Counter("hbserved_runner_prewarm_warm_fills_total", "Finished prewarms captured for later runs of the same stream and cache geometry.", float64(rm.PrewarmWarmFills))
 	p.Counter("hbserved_runner_prewarm_warm_applies_total", "Simulations that applied a captured prewarm instead of sweeping and replaying.", float64(rm.PrewarmWarmApplies))
+	p.Counter("hbserved_runner_prewarm_tape_fills_total", "Stream tapes recorded for later runs of the same stream.", float64(rm.PrewarmTapeFills))
+	p.Counter("hbserved_runner_prewarm_tape_reads_total", "Simulations whose timed window was read from a stream tape instead of generated.", float64(rm.PrewarmTapeReads))
 	p.Counter("hbserved_runner_sim_seconds_total", "Cumulative wall time inside the simulator.", rm.SimWall.Seconds())
 	p.Gauge("hbserved_cache_hit_ratio", "Fraction of completed runner jobs served without simulating (disk cache + memo).",
 		stats.Ratio(uint64(rm.CacheHits+rm.MemoHits), uint64(rm.Done)))

@@ -38,7 +38,8 @@ func metricValue(t *testing.T, body, name string) float64 {
 // the process-wide quarantine counters and the runner's prewarm cache:
 // a quarantined checkpoint and trace show up in their counters, and a
 // three-job same-stream Run over two cache geometries shows one prefix
-// miss, two prefix hits, two warm fills and one warm apply.
+// miss, two prefix hits, two warm fills and one warm apply, and one
+// stream tape recorded by the first hit and read by both hits.
 func TestMetricsQuarantineAndPrewarmFamilies(t *testing.T) {
 	dir := t.TempDir()
 	badSnap := filepath.Join(dir, "bad.json")
@@ -98,6 +99,8 @@ func TestMetricsQuarantineAndPrewarmFamilies(t *testing.T) {
 		"hbserved_runner_prewarm_misses_total":       1,
 		"hbserved_runner_prewarm_warm_fills_total":   2,
 		"hbserved_runner_prewarm_warm_applies_total": 1,
+		"hbserved_runner_prewarm_tape_fills_total":   1,
+		"hbserved_runner_prewarm_tape_reads_total":   2,
 	} {
 		if got := metricValue(t, m, name); got != want {
 			t.Errorf("%s = %v, want %v", name, got, want)

@@ -329,6 +329,7 @@ func NewBatch(ctx context.Context, cfgs []Config, opts RunOpts) (*Batch, error) 
 		}
 		var src workload.Source // nil: construct builds the lane's source
 		var rd isa.Reader       // nil: the core reads the lane's source
+		var tr *tapeReader
 		if key := streamKeyOf(ln.cfg); ln.cfg.Sample == nil && opts.Resume == "" && readers[key] > 1 {
 			st, ok := byKey[key]
 			if !ok {
@@ -350,6 +351,9 @@ func NewBatch(ctx context.Context, cfgs []Config, opts RunOpts) (*Batch, error) 
 			ln.rd = &laneReader{st: st}
 			st.lanes = append(st.lanes, ln)
 			rd = ln.rd
+		} else if tapeEligible(ln.cfg, opts) {
+			tr = new(tapeReader)
+			rd = tr
 		}
 		src, sys, core, err := ln.cfg.construct(src, rd)
 		if err != nil {
@@ -360,6 +364,9 @@ func NewBatch(ctx context.Context, cfgs []Config, opts RunOpts) (*Batch, error) 
 		// violation or cycle budget halts only that lane.
 		m := assembleMachine(ctx, ln.cfg, opts, new(atomic.Bool), src, sys, core)
 		m.done = rctx.Done()
+		if tr != nil {
+			tr.src, m.tape = src, tr
+		}
 		if opts.Resume != "" {
 			if err := m.resume(opts.Resume); err != nil {
 				ln.fail(err)
@@ -382,6 +389,19 @@ func NewBatch(ctx context.Context, cfgs []Config, opts RunOpts) (*Batch, error) 
 		}
 	}()
 	return b, nil
+}
+
+// tapeEligible reports whether a lane that reads its own source may
+// read its timed window from a PrewarmCache stream tape. A tape-fed
+// lane's source stays at the end of the prefix until the core reads
+// past the tape, as a cold run's does only right after prewarm, so
+// every run that reads its source mid-window is excluded: sampled runs
+// fast-forward it between windows, a resumed run starts mid-stream,
+// and snapshots export it. Tapes live in RunOpts.Prewarm and are
+// recorded after a fast-forward prewarm.
+func tapeEligible(cfg Config, opts RunOpts) bool {
+	return opts.Prewarm != nil && cfg.PrewarmMode == PrewarmFastForward && cfg.Sample == nil &&
+		opts.Resume == "" && opts.SnapshotPath == "" && opts.SnapshotOnAbort == ""
 }
 
 // prewarm brings every fresh lane to the start of its first timed

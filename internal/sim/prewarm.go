@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"hbcache/internal/cpu"
 	"hbcache/internal/mem"
 	"hbcache/internal/workload"
 )
@@ -17,8 +18,10 @@ const prewarmCacheEntries = 2
 
 // maxPrefixBytes caps one cached prefix's encoding. A prewarm window
 // whose references outgrow it (roughly ten million instructions) is
-// drained cold on every run instead of being cached, which bounds the
-// cache at prewarmCacheEntries × maxPrefixBytes.
+// drained cold on every run instead of being cached. A prefix's stream
+// tape counts toward the same cap: a tape that would take the entry
+// past it is not kept. So the cache holds at most prewarmCacheEntries
+// × maxPrefixBytes.
 const maxPrefixBytes = 16 << 20
 
 // PrewarmCache shares the functional prewarm between runs of the same
@@ -41,14 +44,24 @@ const maxPrefixBytes = 16 << 20
 // captures that hierarchy's warm state into a single slot whose
 // buffers every later capture reuses. A later run of the same pair
 // applies the captured state instead of sweeping and replaying the
-// references, then replays only the branch outcomes into its own
-// predictor and imports the source state. The slot holds one pair
-// at a time: StreamGroups orders each stream's configs by geometry so
-// that a scheduler dispatching in its order refills it once per pair.
+// references, then trains its own predictor and imports the source
+// state. The slot holds one pair at a time: StreamGroups orders each
+// stream's configs by geometry so that a scheduler dispatching in its
+// order refills it once per pair. The predictor is kept with the
+// prefix: the run that drains it captures its trained predictor, and
+// a later run whose predictor has that geometry (table size, gshare
+// history) copies it instead of replaying the branch outcomes.
+//
+// Past the prefix, the cache keeps a stream tape of the timed window
+// (see tape.go): the first run that hits a cached prefix records the
+// warmup and measure windows that follow it, plus slack, and every
+// later lone run of the stream replays the tape instead of generating
+// its timed stream (see feedTape).
 //
 // Replay touches the same lines and trains the same branches in the
-// same order as a cold drain, and an applied state is a copy of one,
-// so every path is bit-identical to a cold run, stream hash included.
+// same order as a cold drain, an applied state is a copy of one, and a
+// tape holds the very records the source would produce, so every path
+// is bit-identical to a cold run, stream hash included.
 //
 // Runs share one cache through RunOpts.Prewarm, and so do the lanes
 // of a batch, a shared ring's included; it is safe for concurrent
@@ -64,6 +77,7 @@ type PrewarmCache struct {
 	slot    warmSlot
 
 	hits, misses, warmFills, warmApplies atomic.Int64
+	tapeFills, tapeReads                 atomic.Int64
 }
 
 // NewPrewarmCache returns an empty cache.
@@ -74,9 +88,11 @@ func NewPrewarmCache() *PrewarmCache { return &PrewarmCache{} }
 // with it) and Misses runs that drained their prefix from the
 // source; every run through the cache is exactly one of the two.
 // WarmFills counts captured warm states and WarmApplies the runs that
-// applied one.
+// applied one. TapeFills counts recorded stream tapes and TapeReads the
+// runs fed from one, the recording runs included.
 type PrewarmStats struct {
 	Hits, Misses, WarmFills, WarmApplies int64
+	TapeFills, TapeReads                 int64
 }
 
 // Stats reports the cache's counters. A nil cache reports zeros.
@@ -84,7 +100,11 @@ func (c *PrewarmCache) Stats() PrewarmStats {
 	if c == nil {
 		return PrewarmStats{}
 	}
-	return PrewarmStats{c.hits.Load(), c.misses.Load(), c.warmFills.Load(), c.warmApplies.Load()}
+	return PrewarmStats{
+		Hits: c.hits.Load(), Misses: c.misses.Load(),
+		WarmFills: c.warmFills.Load(), WarmApplies: c.warmApplies.Load(),
+		TapeFills: c.tapeFills.Load(), TapeReads: c.tapeReads.Load(),
+	}
 }
 
 // prefixKey names one prewarm prefix: the stream — a trace-backed
@@ -106,7 +126,7 @@ func prefixKeyOf(m *machine) prefixKey {
 }
 
 // prefix is one cached (or in-flight) prewarm prefix. The filling run
-// sets the payload and ok, then closes ready; afterwards it is
+// sets the payload and ok, then closes ready; afterwards the payload is
 // immutable and shared by every replaying run.
 type prefix struct {
 	key   prefixKey
@@ -116,6 +136,12 @@ type prefix struct {
 	addrs    varintLog               // memory references
 	branches varintLog               // branch outcomes, packed pc<<1|taken
 	gen      workload.GeneratorState // the source's state after the prefix
+	pred     cpu.WarmPredictor       // the filling run's predictor after it
+
+	// The stream tape after the prefix, guarded by the cache's mu: nil
+	// until recorded, taping once a run has claimed the recording.
+	tape   *tape
+	taping bool
 }
 
 // warmKey names one finished prewarm: its prefix and the hierarchy
@@ -306,69 +332,80 @@ func (c *PrewarmCache) releaseWarm() {
 }
 
 // warm runs the machine's functional prewarm — region sweep, then the
-// prewarm prefix — through the cache. A run whose (prefix, geometry)
-// is in the warm slot applies it; any other run sweeps and then drains
-// (recording the prefix) or replays its prefix, and a run that
-// claimed the idle slot captures the result into it.
+// prewarm prefix — through the cache, and points a tape-eligible
+// machine that used a cached prefix at that prefix's stream tape.
 func (c *PrewarmCache) warm(m *machine) error {
-	key := prefixKeyOf(m)
-	ready, fill := c.acquireWarm(warmKey{key, mem.WarmStateKey(m.cfg.Memory)})
-	if ready != nil && !fill {
-		applied, err := c.applyWarm(m, ready)
-		if applied || err != nil {
-			return err
-		}
-		// The fill failed; prewarm this run the long way.
-	}
-	if !fill {
-		_, err := c.sweepAndDrain(m, key)
-		return err
-	}
-	captured := false
-	// Deferred so a panicking fill still releases the waiters.
-	defer func() { c.publishWarm(captured) }()
-	p, err := c.sweepAndDrain(m, key)
-	if p != nil {
-		m.sys.CaptureWarm(&c.slot.state)
-		c.slot.prefix, captured = p, true
+	p, hit, err := c.prewarm(m)
+	if err == nil && hit && m.tape != nil {
+		err = c.feedTape(m, p)
 	}
 	return err
 }
 
+// prewarm is warm's prewarm. A run whose (prefix, geometry) is in the
+// warm slot applies it; any other run sweeps and then drains
+// (recording the prefix) or replays its prefix, and a run that claimed
+// the idle slot captures the result into it. It returns the cached
+// prefix the run ended with, if any, and whether the run used it
+// rather than draining it.
+func (c *PrewarmCache) prewarm(m *machine) (p *prefix, hit bool, err error) {
+	key := prefixKeyOf(m)
+	ready, fill := c.acquireWarm(warmKey{key, mem.WarmStateKey(m.cfg.Memory)})
+	if ready != nil && !fill {
+		p, err := c.applyWarm(m, ready)
+		if p != nil || err != nil {
+			return p, p != nil, err
+		}
+		// The fill failed; prewarm this run the long way.
+	}
+	if !fill {
+		return c.sweepAndDrain(m, key)
+	}
+	captured := false
+	// Deferred so a panicking fill still releases the waiters.
+	defer func() { c.publishWarm(captured) }()
+	p, hit, err = c.sweepAndDrain(m, key)
+	if p != nil {
+		m.sys.CaptureWarm(&c.slot.state)
+		c.slot.prefix, captured = p, true
+	}
+	return p, hit, err
+}
+
 // applyWarm waits for the warm slot's fill, as a reader, and applies
-// it: the captured hierarchy state, the prefix's branch outcomes, and
-// the source state after it. It reports false, with a nil error,
-// when the fill failed.
-func (c *PrewarmCache) applyWarm(m *machine, ready <-chan struct{}) (bool, error) {
+// it: the captured hierarchy state, the trained predictor, and the
+// source state after the prefix. It returns the slot's prefix, or nil
+// with a nil error when the fill failed.
+func (c *PrewarmCache) applyWarm(m *machine, ready <-chan struct{}) (*prefix, error) {
 	defer c.releaseWarm()
 	select {
 	case <-ready:
 	case <-m.done:
-		return false, m.abortErr()
+		return nil, m.abortErr()
 	}
 	s := &c.slot
 	if !s.ok {
-		return false, nil
+		return nil, nil
 	}
 	if err := m.sys.ApplyWarm(&s.state); err != nil {
-		return false, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
+		return nil, fmt.Errorf("%w: %v", ErrInvalidConfig, err)
 	}
 	if err := m.replayBranches(s.prefix); err != nil {
-		return false, err
+		return nil, err
 	}
 	c.hits.Add(1)
 	c.warmApplies.Add(1)
-	return true, nil
+	return s.prefix, nil
 }
 
 // sweepAndDrain sweeps the machine's regions and then drains its
 // prewarm prefix exactly as fastForward does while recording it, or
 // replays the cached prefix. It returns the prefix when one is cached
 // after a successful run, nil when it failed or the prefix is too large
-// to keep.
-func (c *PrewarmCache) sweepAndDrain(m *machine, key prefixKey) (_ *prefix, err error) {
+// to keep, and whether the run replayed it.
+func (c *PrewarmCache) sweepAndDrain(m *machine, key prefixKey) (_ *prefix, hit bool, err error) {
 	if err := m.sweep(); err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	p, fill := c.acquire(key)
 	if fill {
@@ -380,30 +417,73 @@ func (c *PrewarmCache) sweepAndDrain(m *machine, key prefixKey) (_ *prefix, err 
 			if drained && !rec.full {
 				p.addrs, p.branches = rec.addrs, rec.branches
 				p.gen, p.ok = m.gen.ExportState(), true
+				m.core.Predictor().CaptureWarm(&p.pred)
 			}
 			c.publish(p, drained)
 		}()
 		err = m.fastForward(key.insts, rec)
 		drained = err == nil
 		if !drained || rec.full {
-			return nil, err
+			return nil, false, err
 		}
-		return p, nil
+		return p, false, nil
 	}
 	select {
 	case <-p.ready:
 	case <-m.done:
-		return nil, m.abortErr()
+		return nil, false, m.abortErr()
 	}
 	if !p.ok {
 		c.misses.Add(1)
-		return nil, m.fastForward(key.insts, nil)
+		return nil, false, m.fastForward(key.insts, nil)
 	}
 	c.hits.Add(1)
 	if err := m.replay(p); err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	return p, nil
+	return p, true, nil
+}
+
+// feedTape points a tape-eligible machine that used cached prefix p at
+// p's stream tape. The first such run finds no tape and claims it: it
+// records warmup + measure + tapeSlack instructions from its own
+// source and rewinds the source to p's end state, so its machine state
+// stays a cold run's, then reads the tape like any later run. A run
+// that finds the tape being recorded reads its own source and never
+// waits. A tape that would take the entry past maxPrefixBytes is not
+// kept, and its stream is not recorded again.
+func (c *PrewarmCache) feedTape(m *machine, p *prefix) error {
+	c.mu.Lock()
+	t, record := p.tape, p.tape == nil && !p.taping
+	p.taping = true
+	c.mu.Unlock()
+	if record {
+		recorded := false
+		// Deferred so a panicking recording releases its claim.
+		defer func() {
+			c.mu.Lock()
+			p.tape, p.taping = t, recorded
+			c.mu.Unlock()
+		}()
+		n := m.cfg.WarmupInsts + m.cfg.MeasureInsts + tapeSlack
+		budget := maxPrefixBytes - p.addrs.size - p.branches.size
+		rec, stopped, err := recordTape(m.gen, p.gen, n, budget, m.stop)
+		if stopped {
+			return m.abortErr()
+		}
+		if err != nil {
+			return fmt.Errorf("sim: stream tape: %w", err)
+		}
+		t, recorded = rec, true
+		if t != nil {
+			c.tapeFills.Add(1)
+		}
+	}
+	if t != nil {
+		m.tape.attach(t)
+		c.tapeReads.Add(1)
+	}
+	return nil
 }
 
 // replay applies a cached prefix to a fresh machine: every reference
@@ -423,11 +503,16 @@ func (m *machine) replay(p *prefix) error {
 	return m.replayBranches(p)
 }
 
-// replayBranches is replay without the references: the prefix's branch
-// outcomes into the predictor, then its source state.
+// replayBranches is replay without the references: the predictor the
+// prefix trained — copied when the machine's has the captured one's
+// geometry, otherwise by replaying the branch outcomes — then the
+// prefix's source state.
 func (m *machine) replayBranches(p *prefix) error {
 	pred := m.core.Predictor()
 	branches := logReader{rest: p.branches.chunks}
+	if pred.ApplyWarm(&p.pred) {
+		branches.rest = nil
+	}
 	for bs := branches.chunk(); len(bs) > 0; bs = branches.chunk() {
 		if m.stop.Load() {
 			return m.abortErr()

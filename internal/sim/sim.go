@@ -351,7 +351,10 @@ type machine struct {
 	// lane reading a shared ring it is, after the prewarm, the
 	// stream's master source, which runs ahead of the core
 	// (bstream.start).
-	gen    workload.Source
+	gen workload.Source
+	// tape is the core's reader on a lone lane that can read a stream
+	// tape (see tapeEligible); nil when the core reads gen or a ring.
+	tape   *tapeReader
 	sys    *mem.System
 	core   *cpu.CPU
 	stream *check.Stream

@@ -62,11 +62,15 @@ func (c Config) newSource() (workload.Source, error) {
 }
 
 // DefaultTraceSlack is the extra instructions RecordTrace appends past
-// the configured windows. The out-of-order front end fetches ahead of
-// retirement (wrong-path and not-yet-retired instructions), so a trace
-// cut exactly at prewarm+warmup+measure would starve the core short of
-// the measured window; one reorder-window-sized cushion per timed phase
-// is far more than any configuration fetches ahead.
+// the configured windows. The core fetches ahead of retirement, but
+// only down the recorded path: at most its reorder window of
+// not-yet-retired instructions plus one held back on a full load/store
+// queue, since dispatch stops at a mispredicted branch until it
+// resolves rather than fetching wrong-path instructions. A trace cut
+// exactly at prewarm+warmup+measure would end the stream under that
+// last window and cut the measured window short; 16384 is far more
+// than any configured window. The prewarm cache's stream tapes carry
+// slack for the same reason (tapeSlack).
 const DefaultTraceSlack = 16384
 
 // RecordTrace captures the instruction stream cfg would simulate into

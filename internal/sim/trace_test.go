@@ -159,8 +159,8 @@ func TestTraceReplayPrewarmCache(t *testing.T) {
 			t.Errorf("config %d: trace run through the prewarm cache diverged:\nshared: %+v\ncold:   %+v", i, shared, cold)
 		}
 	}
-	if st := cache.Stats(); st != (PrewarmStats{Hits: 2, Misses: 1, WarmFills: 2, WarmApplies: 1}) {
-		t.Errorf("stats = %+v; want 2 hits, 1 miss, 2 warm fills, 1 warm apply", st)
+	if st := cache.Stats(); st != (PrewarmStats{Hits: 2, Misses: 1, WarmFills: 2, WarmApplies: 1, TapeFills: 1, TapeReads: 2}) {
+		t.Errorf("stats = %+v; want 2 hits, 1 miss, 2 warm fills, 1 warm apply, 1 tape fill, 2 tape reads", st)
 	}
 }
 
